@@ -15,7 +15,7 @@
 // (the README documents the convention): leasebench writes the
 // experiment-table reports (BENCH_PR2.json) and cmd/leaseload writes
 // the serving-stack baselines — the in-process engine (BENCH_PR3.json)
-// and the HTTP lease service driven with -remote (BENCH_PR4.json).
+// and the HTTP lease service driven with -nodes 1 (BENCH_PR4.json).
 package main
 
 import (

@@ -13,8 +13,8 @@
 // so a crash (even SIGKILL) loses nothing acknowledged. docs/API.md
 // documents the protocol, docs/DURABILITY.md the log format and
 // recovery semantics, and docs/OPERATIONS.md the operational knobs;
-// cmd/leaseload -remote load-tests a running daemon and cmd/leaseload
-// -crash drills kill-and-recover against this binary.
+// cmd/leaseload -addr load-tests a running daemon, and cmd/leaseload
+// -leased spawns this binary (with -kill, the kill-and-recover drill).
 //
 // With -peers (a comma-separated list of every node's base URL) and
 // -self (this node's URL in that list) the daemon joins a cluster:
@@ -25,7 +25,8 @@
 // tenants over with their full logged history already in place.
 // Cluster mode requires -data-dir (the follower log lives under it);
 // docs/CLUSTER.md documents placement, replication and the failover
-// runbook, and cmd/leaseload -crash -cluster drills it.
+// runbook, and cmd/leaseload -leased BIN -nodes 3 -wal fsync -kill
+// drills it.
 //
 // Usage:
 //

@@ -1,93 +1,79 @@
 // Command leaseload is the load generator for the multi-tenant lease
 // serving stack: it synthesizes mixed-domain tenant traffic (parking
 // days, deadlines, set-cover elements, facility batches, Steiner
-// connects — one domain per tenant, streams drawn from
-// internal/workload), pumps it through the engine from concurrent
+// connects, reusable-pool uses — one domain per tenant, streams drawn
+// from internal/workload), pumps it through a fleet from concurrent
 // producers, and reports sustained throughput plus submit-latency
-// percentiles. By default it drives the in-process engine; with -remote
-// it drives the HTTP lease service instead — against a running
-// cmd/leased daemon (-addr), or against an in-process loopback daemon
-// it starts itself (no -addr) — measuring end-to-end HTTP submit
-// latency. In remote mode -binary switches submits and results to the
-// compact application/x-lease-binary framing the daemon negotiates per
-// request (JSON stays the default), and -cpuprofile writes a pprof CPU
-// profile of the whole run for before/after comparisons between the
-// two encodings. With -verify every tenant's output is additionally checked
-// byte-identical against a single-threaded Replay (in remote mode the
-// daemon must run with -record). Like leasebench, -json emits a
-// machine-readable report (committed snapshots are named BENCH_*.json;
-// see the README's trajectory convention).
+// percentiles. With -verify every tenant's served run, cost and
+// snapshot are then checked byte-identical to a single-threaded Replay
+// of its stream. Like leasebench, -json emits a machine-readable report
+// (committed snapshots are named BENCH_*.json; see the README's
+// trajectory convention).
 //
-// Two durability modes exercise the write-ahead log end to end. With
-// -durable-bench the in-process workload runs twice through a
-// WAL-backed engine — fsync off, then fsync on — and the combined
-// report (committed as BENCH_PR5.json) quantifies the durability
-// throughput trade-off. With -crash the tool runs the full
-// kill-and-recover drill against a real daemon: it spawns the -leased
-// binary with a WAL data dir, SIGKILLs it once half the load is
-// acknowledged, restarts it, resumes every tenant after the daemon's
-// recovered processed-event count, and verifies every tenant's result
-// byte-identical to a single-threaded Replay of its full logged
-// history. With -crash -cluster the drill goes multi-node: -nodes
-// peered daemons share a placement ring and ship WAL records to each
-// tenant's replica, the busiest node is SIGKILLed mid-load, its tenants
-// fail over to their replicas (MarkDown + Activate on the cluster
-// client), ingestion resumes from each new owner's processed count, and
-// every tenant must still verify byte-identical to Replay. With
-// -cluster-bench the tool instead measures how throughput scales with
-// cluster size: the same workload through in-process replicated fleets
-// of 1, 2 and 4 nodes, reported with per-fleet speedup and scaling
-// efficiency (the BENCH_PR8.json format).
+// Every run is one code path over three axes:
 //
-// The synthesized traffic is shaped by pluggable arrival processes
-// (-arrival constant|diurnal|bursty; internal/workload) and optionally
-// by Zipf-skewed per-tenant volumes (-zipf-sizes), all deterministic in
-// -seed. With -ramp the tool runs the SLA-driven stepped harness
-// instead of one fixed load: tenant concurrency grows by -step-tenants
-// per step (fresh engine each step, -step-duration submission deadline)
-// until the submit-latency SLA (-sla-p99 milliseconds at
-// -sla-percentile) breaks, and the report's ramp section records the
-// whole trajectory plus the maximum sustainable throughput under SLA
-// (the BENCH_PR6.json format). With -gate the run is compared against a
-// committed BENCH_*.json snapshot of the same mode and fails on
-// regression beyond -gate-tolerance — the CI perf gate.
+//   - Target. -nodes 0, the default, drives the in-process engine.
+//     -nodes N starts N loopback daemons wired the way cmd/leased wires
+//     them, two or more joined by -peers replication. -addr drives one
+//     already-running daemon instead (it must run with -record for
+//     -verify), and -leased spawns the N daemons as processes of a
+//     built leased binary. Daemons are driven through the ring-routing
+//     cluster client; -binary makes it submit and read results over the
+//     application/x-lease-binary framing.
+//   - Durability. -wal off|nosync|fsync gives every engine a
+//     write-ahead log, without or with an fsync before each
+//     acknowledgement.
+//   - Fault. -kill SIGKILLs the spawned node owning the most tenants
+//     once half the events are acknowledged. A lone node restarts on its
+//     data dir; in a cluster its tenants fail over to their replicas
+//     (MarkDown + Activate). Every tenant then resumes from its
+//     processed count and is verified against Replay.
+//
+// An axis combination that cannot run is one up-front error. The
+// report's mode is a label derived from the axes, and the perf gate
+// (-gate) only compares runs of the same mode.
+//
+// The traffic is shaped by pluggable arrival processes (-arrival
+// constant|diurnal|bursty; internal/workload) and optionally by
+// Zipf-skewed per-tenant volumes (-zipf-sizes), all deterministic in
+// -seed. A run whose -step-tenants is below -tenants is stepped: each
+// step serves -step-tenants more tenants than the last on a fresh
+// fleet, until the submit-latency SLA (-sla-p99 milliseconds at
+// -sla-percentile, optionally with a -step-duration deadline) breaks.
+// A stepped run's headline is its knee, the maximum sustainable
+// throughput under SLA (the BENCH_PR6.json format); a one-step run's
+// headline is its measured rate. With -gate the run is compared against
+// a committed BENCH_*.json snapshot and fails on regression beyond
+// -gate-tolerance — the CI perf gate.
 //
 // Usage:
 //
 //	leaseload -tenants 64 -events 256 -shards 8 -batch 64 -queue 256 -producers 4
-//	leaseload -verify                        # parity-check tenants vs Replay
-//	leaseload -remote [-addr http://host:8080] [-verify]
-//	leaseload -remote -binary [-cpuprofile cpu.out]  # binary wire framing
-//	leaseload -durable-bench [-out BENCH_PR5.json]   # fsync on/off WAL throughput
-//	leaseload -crash -leased /path/to/leased [-data-dir DIR]
-//	leaseload -crash -cluster -leased /path/to/leased [-nodes 3]
-//	leaseload -cluster-bench [-out BENCH_PR8.json]   # 1/2/4-node scaling
-//	leaseload -ramp -sla-p99 5 [-step-tenants 8] [-step-duration 2s]
-//	leaseload -arrival diurnal -zipf-sizes 1.2   # shaped, skewed traffic
-//	leaseload -ramp -json -gate BENCH_PR6.json [-gate-tolerance 0.15]
-//	leaseload -json [-out BENCH_PR3.json]    # machine-readable report
+//	leaseload -verify                           # parity-check tenants vs Replay
+//	leaseload -nodes 1 [-binary] [-verify]      # one loopback daemon over HTTP
+//	leaseload -addr http://host:8080 [-verify]  # a running daemon
+//	leaseload -wal fsync [-cpuprofile cpu.out]  # a durable in-process engine
+//	leaseload -nodes 4 -wal nosync              # a replicated 4-node fleet
+//	leaseload -leased ./leased -nodes 3 -wal fsync -kill   # kill-one-node drill
+//	leaseload -step-tenants 16 -sla-p99 5 [-step-duration 2s]
+//	leaseload -arrival diurnal -zipf-sizes 1.2  # shaped, skewed traffic
+//	leaseload -json -gate BENCH_PR6.json [-gate-tolerance 0.15]
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"leasing"
@@ -100,8 +86,12 @@ import (
 
 // latReservoirCap bounds the submit-latency sample: produce records
 // every call into a fixed-size reservoir (Vitter's algorithm R), so
-// memory stays flat however long a run or ramp step submits.
+// memory stays flat however long a run or step submits.
 const latReservoirCap = 4096
+
+// minBeyond is how many latency samples must lie above the percentile a
+// step's SLA is checked at.
+const minBeyond = 10
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -110,17 +100,14 @@ func main() {
 	}
 }
 
-// tenant is one synthetic session: a name, its fixed event stream, a
-// factory building a fresh deterministic leaser (called once to serve in
-// the engine and, under -verify, once more for the reference Replay),
-// and the wire spec that opens the same session remotely.
+// tenant is one synthetic session: a name, its fixed event stream, and
+// the wire spec that opens it — on a daemon, and (built into a leaser)
+// on the in-process engine and for the reference Replay.
 type tenant struct {
 	name   string
-	domain string
 	events []leasing.Event
-	fresh  func() (leasing.Leaser, error)
 	spec   leasing.RemoteOpenRequest
-	wevs   []leasing.RemoteEvent // events in wire form (remote mode)
+	wevs   []leasing.RemoteEvent // events in wire form, set when opened on a daemon
 }
 
 type latencyStats struct {
@@ -131,14 +118,16 @@ type latencyStats struct {
 }
 
 // jsonReport is the machine-readable format, the leaseload counterpart
-// of leasebench's report: configuration, throughput, latency, and the
-// engine's own per-shard counters. Mode records the driven boundary:
-// "engine" for in-process runs, "remote" for HTTP runs (where the
-// latency percentiles include the network round trip and any
-// backpressure retries).
+// of leasebench's report: the axes, configuration, throughput, latency,
+// and the engines' own per-shard counters (summed over a fleet's live
+// nodes). On daemons the latency percentiles include the network round
+// trip and any backpressure retries.
 type jsonReport struct {
 	Tool            string                `json:"tool"`
 	Mode            string                `json:"mode"`
+	Nodes           int                   `json:"nodes"`
+	WAL             string                `json:"wal,omitempty"`
+	Kill            bool                  `json:"kill"`
 	GoVersion       string                `json:"go_version"`
 	Seed            int64                 `json:"seed"`
 	Tenants         int                   `json:"tenants"`
@@ -158,12 +147,12 @@ type jsonReport struct {
 	Ramp            *rampReport           `json:"ramp,omitempty"`
 }
 
-// rampReport is the -ramp section of the report: the SLA, the step
-// schedule, every executed step, and the knee — the largest tenant
-// count (and its throughput) that still met the SLA. In ramp mode the
+// rampReport is a stepped run's section of the report: the SLA, the
+// step schedule, every executed step, and the knee — the largest
+// tenant count (and its throughput) that still met the SLA. The
 // report's top-level events_per_sec and submit_latency_us mirror the
-// last sustainable step, so the BENCH trajectory and the perf gate read
-// ramp snapshots like any other.
+// knee, so the BENCH trajectory and the perf gate read stepped
+// snapshots like any other.
 type rampReport struct {
 	SLAPercentile           float64    `json:"sla_percentile"`
 	SLALatencyMS            float64    `json:"sla_latency_ms"`
@@ -175,136 +164,144 @@ type rampReport struct {
 	MaxEventsPerSecUnderSLA float64    `json:"max_events_per_sec_under_sla"`
 }
 
-// rampStep is one rung of the ramp: a fresh engine serving the first
-// Tenants tenants. Completed reports whether the whole step load was
-// submitted before the step deadline; a cut-off step is never
-// sustainable, whatever its latency sample says.
+// rampStep is one rung: a fresh fleet serving the first Tenants
+// tenants. Completed reports whether the whole step load was submitted
+// before the step deadline; a cut-off step is never sustainable,
+// whatever its latency sample says. The SLA is checked at
+// SLAPercentileUsed: -sla-percentile, or lower when fewer than ten of
+// the step's Samples lie beyond it.
 type rampStep struct {
-	Tenants         int          `json:"tenants"`
-	SubmittedEvents int64        `json:"submitted_events"`
-	Completed       bool         `json:"completed"`
-	ElapsedMS       float64      `json:"elapsed_ms"`
-	EventsPerSec    float64      `json:"events_per_sec"`
-	SubmitLatencyUS latencyStats `json:"submit_latency_us"`
-	LatencyAtSLAUS  float64      `json:"latency_at_sla_percentile_us"`
-	SLAMet          bool         `json:"sla_met"`
+	Tenants           int          `json:"tenants"`
+	SubmittedEvents   int64        `json:"submitted_events"`
+	Completed         bool         `json:"completed"`
+	ElapsedMS         float64      `json:"elapsed_ms"`
+	EventsPerSec      float64      `json:"events_per_sec"`
+	SubmitLatencyUS   latencyStats `json:"submit_latency_us"`
+	Samples           int64        `json:"samples"`
+	SLAPercentileUsed float64      `json:"sla_percentile_used"`
+	LatencyAtSLAUS    float64      `json:"latency_at_sla_percentile_us"`
+	SLAMet            bool         `json:"sla_met"`
+}
+
+// config is one run's axes and knobs, as parsed from the flags.
+type config struct {
+	tenants, events, shards, batch, queue, producers, chunk int
+	seed                                                    int64
+	verify, binary, kill                                    bool
+	addr, leased, wal                                       string
+	nodes, stepTenants                                      int
+	stepDur                                                 time.Duration
+	slaMS, slaPct, zipf                                     float64
+	gate                                                    string
+}
+
+// stepped reports whether the run ramps tenant concurrency.
+func (c *config) stepped() bool { return c.stepTenants > 0 && c.stepTenants < c.tenants }
+
+// check rejects, up front, flag values and axis combinations that
+// cannot run; set names the flags given explicitly.
+func (c *config) check(set map[string]bool) error {
+	for _, r := range []struct {
+		bad bool
+		msg string
+	}{
+		{c.tenants < 1 || c.events < 1 || c.producers < 1 || c.chunk < 1, "-tenants, -events, -producers and -chunk must be >= 1"},
+		// The engine would silently substitute defaults for these; reject
+		// them instead so the report never misstates the measured config.
+		{c.shards < 1 || c.batch < 1 || c.queue < 1, "-shards, -batch and -queue must be >= 1"},
+		{c.nodes < 0 || c.stepTenants < 0 || c.stepDur < 0 || c.zipf < 0, "-nodes, -step-tenants, -step-duration and -zipf-sizes must be >= 0"},
+		{c.slaMS <= 0 || c.slaPct <= 0 || c.slaPct > 1, "-sla-p99 must be > 0 and -sla-percentile in (0, 1]"},
+		{!slices.Contains([]string{"off", "nosync", "fsync"}, c.wal), "-wal must be off, nosync or fsync"},
+		{c.addr != "" && (c.nodes > 1 || c.leased != ""), "-addr drives one running daemon; it cannot be combined with -nodes > 1 or -leased"},
+		// A running daemon's engine and log are configured by the daemon;
+		// local values would misstate the measured setup.
+		{c.addr != "" && (set["shards"] || set["batch"] || set["queue"] || set["wal"]), "-shards, -batch, -queue and -wal are set by the daemon; they cannot be combined with -addr"},
+		{c.leased != "" && c.nodes < 1, "-leased spawns -nodes daemons; it needs -nodes >= 1"},
+		{c.nodes > 1 && c.wal == "off", "-nodes >= 2 replicates the write-ahead log; it needs -wal nosync or fsync"},
+		{c.binary && c.nodes == 0 && c.addr == "", "-binary is a wire framing; it needs -nodes >= 1 or -addr"},
+		{c.kill && (c.leased == "" || c.wal == "off"), "-kill SIGKILLs a spawned durable daemon; it needs -leased and -wal nosync or fsync"},
+		{c.kill && c.stepped(), "-kill cannot be combined with stepping (-step-tenants below -tenants)"},
+		{c.stepped() && c.addr != "", "stepping opens the tenants on a fresh fleet per step; it cannot drive -addr"},
+		{c.stepped() && c.verify && c.stepDur > 0, "-verify needs whole streams, which a -step-duration deadline may cut off"},
+		{!c.stepped() && (set["sla-p99"] || set["sla-percentile"] || set["step-duration"]), "-sla-p99, -sla-percentile and -step-duration need stepping (-step-tenants below -tenants)"},
+		{c.gate == "" && set["gate-tolerance"], "-gate-tolerance requires -gate"},
+	} {
+		if r.bad {
+			return errors.New(r.msg)
+		}
+	}
+	return nil
+}
+
+// mode names the run's target, WAL, fault and stepping axes for the
+// report and the perf gate, which refuses to compare different modes.
+// The in-process engine is the unnamed default target, so the
+// configurations of the committed snapshots keep their labels:
+// "engine" (BENCH_PR3.json), "remote" (BENCH_PR4.json, BENCH_PR7.json)
+// and "ramp" (BENCH_PR6.json).
+func (c *config) mode() string {
+	var parts []string
+	switch {
+	case c.leased != "":
+		parts = append(parts, fmt.Sprintf("leased%d", c.nodes))
+	case c.nodes > 1:
+		parts = append(parts, fmt.Sprintf("cluster%d", c.nodes))
+	case c.nodes == 1:
+		parts = append(parts, "remote")
+	}
+	if c.wal != "off" {
+		parts = append(parts, "wal-"+c.wal)
+	}
+	if c.kill {
+		parts = append(parts, "kill")
+	}
+	if c.stepped() {
+		parts = append(parts, "ramp")
+	}
+	if len(parts) == 0 {
+		return "engine"
+	}
+	return strings.Join(parts, "-")
 }
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("leaseload", flag.ContinueOnError)
-	var (
-		tenants   = fs.Int("tenants", 64, "number of concurrent tenant sessions (domains cycle per tenant)")
-		events    = fs.Int("events", 256, "target events per tenant (streams are stochastic, so counts vary around this)")
-		shards    = fs.Int("shards", 8, "engine shards")
-		batch     = fs.Int("batch", 64, "engine batch size (events drained per shard wake)")
-		queue     = fs.Int("queue", 256, "engine per-shard queue depth (backpressure)")
-		producers = fs.Int("producers", 4, "concurrent producer goroutines (tenants are partitioned across them)")
-		chunk     = fs.Int("chunk", 32, "events per SubmitBatch call (per HTTP submit in -remote mode)")
-		seed      = fs.Int64("seed", 2015, "base random seed for workload synthesis")
-		verify    = fs.Bool("verify", false, "after the run, check every tenant byte-identical to a single-threaded Replay")
-		remote    = fs.Bool("remote", false, "drive the HTTP lease service instead of the in-process engine")
-		binaryEnc = fs.Bool("binary", false, "with -remote: submit events and read results over the binary wire framing (application/x-lease-binary) instead of JSON")
-		addr      = fs.String("addr", "", "with -remote: base URL of a running leased daemon (empty starts an in-process loopback daemon)")
-		crash     = fs.Bool("crash", false, "kill-and-recover drill: spawn a durable leased daemon (-leased), SIGKILL it mid-load, restart, resume from the recovered counts and verify every tenant against Replay")
-		leasedBin = fs.String("leased", "", "with -crash: path to a built leased binary")
-		dataDir   = fs.String("data-dir", "", "with -crash: WAL directory for the spawned daemon (default: a fresh temp dir, removed afterwards)")
-		clusterFl = fs.Bool("cluster", false, "with -crash: multi-node drill — spawn -nodes peered daemons, SIGKILL the busiest mid-load, fail its tenants over to their replicas and verify every tenant against Replay")
-		nodesFl   = fs.Int("nodes", 3, "with -crash -cluster: cluster size")
-		clBench   = fs.Bool("cluster-bench", false, "scaling benchmark: run the workload through in-process replicated fleets of 1, 2 and 4 nodes and emit the combined JSON report (the BENCH_PR8.json format)")
-		durable   = fs.Bool("durable-bench", false, "run the in-process workload twice through a WAL-backed engine (fsync off, then on) and emit the combined JSON report (the BENCH_PR5.json format)")
-		jsonOut   = fs.Bool("json", false, "emit a machine-readable JSON report")
-		outPath   = fs.String("out", "", "with -json: write the report to this file instead of stdout")
-		arrival   = fs.String("arrival", "constant", "arrival process shaping every tenant's stream: constant, diurnal or bursty (deterministic in -seed)")
-		domainsFl = fs.String("domains", "days,deadline,elements,facility,steiner", "comma-separated domain mix tenants cycle through (any subset; 'days' alone makes the cheapest per-event apply, so the run measures the ingestion path rather than the algorithms)")
-		arrPeriod = fs.Int64("arrival-period", 64, "with -arrival diurnal: oscillation period in steps")
-		zipfSizes = fs.Float64("zipf-sizes", 0, "skew per-tenant event volumes by a Zipf(s) rank-size law (0 = equal volumes); the total volume is preserved")
-		ramp      = fs.Bool("ramp", false, "SLA-driven stepped harness: grow tenant concurrency by -step-tenants per step (up to -tenants) until the submit-latency SLA breaks; reports max sustainable throughput under SLA (in-process engine only)")
-		slaP99    = fs.Float64("sla-p99", 5, "with -ramp: submit-latency SLA threshold in milliseconds, checked at -sla-percentile")
-		slaPct    = fs.Float64("sla-percentile", 0.99, "with -ramp: latency percentile the SLA is checked at, in (0, 1]")
-		stepTen   = fs.Int("step-tenants", 8, "with -ramp: tenants added per ramp step")
-		stepDur   = fs.Duration("step-duration", 2*time.Second, "with -ramp: per-step submission deadline; a step cut off here is reported as unsustainable")
-		gatePath  = fs.String("gate", "", "compare the run against this committed BENCH_*.json snapshot (same tool and mode) and fail on regression beyond -gate-tolerance")
-		gateTol   = fs.Float64("gate-tolerance", 0.15, "with -gate: allowed fractional regression before the gate fails")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof format)")
-	)
+	var c config
+	fs.IntVar(&c.tenants, "tenants", 64, "number of concurrent tenant sessions (domains cycle per tenant)")
+	fs.IntVar(&c.events, "events", 256, "target events per tenant (streams are stochastic, so counts vary around this)")
+	fs.IntVar(&c.shards, "shards", 8, "engine shards")
+	fs.IntVar(&c.batch, "batch", 64, "engine batch size (events drained per shard wake)")
+	fs.IntVar(&c.queue, "queue", 256, "engine per-shard queue depth (backpressure)")
+	fs.IntVar(&c.producers, "producers", 4, "concurrent producer goroutines (tenants are partitioned across them)")
+	fs.IntVar(&c.chunk, "chunk", 32, "events per submit call (per HTTP submit on daemons)")
+	fs.Int64Var(&c.seed, "seed", 2015, "base random seed for workload synthesis")
+	fs.BoolVar(&c.verify, "verify", false, "after the run, check every tenant byte-identical to a single-threaded Replay")
+	fs.IntVar(&c.nodes, "nodes", 0, "target: 0 drives the in-process engine; N >= 1 starts N loopback daemons, replicated through a cluster client when N >= 2")
+	fs.StringVar(&c.addr, "addr", "", "target: base URL of one running leased daemon, instead of starting any")
+	fs.StringVar(&c.leased, "leased", "", "target: spawn the -nodes daemons as processes of this built leased binary")
+	fs.BoolVar(&c.binary, "binary", false, "on daemons: submit events and read results over the binary wire framing (application/x-lease-binary) instead of JSON")
+	fs.StringVar(&c.wal, "wal", "off", "durability of every engine: off, nosync (write-ahead log without fsync) or fsync (fsync before acknowledging)")
+	fs.BoolVar(&c.kill, "kill", false, "fault: SIGKILL the spawned node owning the most tenants once half the events are acknowledged, restart it (one node) or fail its tenants over (a cluster), resume every tenant and verify it against Replay")
+	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
+	outPath := fs.String("out", "", "with -json: write the report to this file instead of stdout")
+	arrival := fs.String("arrival", "constant", "arrival process shaping every tenant's stream: constant, diurnal or bursty (deterministic in -seed)")
+	domainsFl := fs.String("domains", "days,deadline,elements,facility,steiner", "comma-separated domain mix tenants cycle through (any subset; 'days' alone makes the cheapest per-event apply, so the run measures the ingestion path rather than the algorithms)")
+	arrPeriod := fs.Int64("arrival-period", 64, "with -arrival diurnal: oscillation period in steps")
+	fs.Float64Var(&c.zipf, "zipf-sizes", 0, "skew per-tenant event volumes by a Zipf(s) rank-size law (0 = equal volumes); the total volume is preserved")
+	fs.IntVar(&c.stepTenants, "step-tenants", 0, "tenants added per step; below -tenants the run is stepped until the SLA breaks, 0 runs every tenant in one step")
+	fs.Float64Var(&c.slaMS, "sla-p99", 5, "stepped runs: submit-latency SLA threshold in milliseconds, checked at -sla-percentile")
+	fs.Float64Var(&c.slaPct, "sla-percentile", 0.99, "stepped runs: latency percentile the SLA is checked at, in (0, 1]; lowered to leave ten samples beyond it")
+	fs.DurationVar(&c.stepDur, "step-duration", 0, "stepped runs: per-step submission deadline, 0 for none; a step cut off here is reported as unsustainable")
+	fs.StringVar(&c.gate, "gate", "", "compare the run against this committed BENCH_*.json snapshot (same tool and mode) and fail on regression beyond -gate-tolerance")
+	gateTol := fs.Float64("gate-tolerance", 0.15, "with -gate: allowed fractional regression before the gate fails")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof format)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tenants < 1 || *events < 1 || *producers < 1 || *chunk < 1 {
-		return fmt.Errorf("-tenants, -events, -producers and -chunk must be >= 1")
-	}
-	// The engine would silently substitute defaults for these; reject
-	// them instead so the report never misstates the measured config.
-	if *shards < 1 || *batch < 1 || *queue < 1 {
-		return fmt.Errorf("-shards, -batch and -queue must be >= 1")
-	}
-	if *addr != "" && !*remote {
-		return fmt.Errorf("-addr requires -remote")
-	}
-	if *binaryEnc && !*remote {
-		return fmt.Errorf("-binary requires -remote")
-	}
-	if *crash && *leasedBin == "" {
-		return fmt.Errorf("-crash requires -leased (a built leased binary)")
-	}
-	if (*leasedBin != "" || *dataDir != "") && !*crash {
-		return fmt.Errorf("-leased and -data-dir require -crash")
-	}
-	if *crash && (*remote || *durable) {
-		return fmt.Errorf("-crash is its own mode; it cannot be combined with -remote or -durable-bench")
-	}
-	if *clusterFl && !*crash {
-		return fmt.Errorf("-cluster requires -crash")
-	}
-	if *clusterFl && *nodesFl < 2 {
-		return fmt.Errorf("-nodes must be >= 2 (a 1-node cluster has nothing to fail over to)")
-	}
-	if *clusterFl && *dataDir != "" {
-		return fmt.Errorf("-data-dir cannot be combined with -cluster (each node gets its own temp dir)")
-	}
-	if !*clusterFl {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["nodes"] {
-			return fmt.Errorf("-nodes requires -cluster")
-		}
-	}
-	if *clBench && (*remote || *crash || *durable || *ramp || *verify) {
-		return fmt.Errorf("-cluster-bench is its own mode; it cannot be combined with -remote, -crash, -durable-bench, -ramp or -verify")
-	}
-	if *durable && *remote {
-		return fmt.Errorf("-durable-bench drives the in-process engine; it cannot be combined with -remote")
-	}
-	if *ramp && (*remote || *crash || *durable) {
-		return fmt.Errorf("-ramp drives the in-process engine; it cannot be combined with -remote, -crash or -durable-bench")
-	}
-	if *ramp && *verify {
-		return fmt.Errorf("-ramp measures saturation (steps may be cut off mid-stream); it cannot be combined with -verify")
-	}
-	if !*ramp {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		for _, name := range []string{"sla-p99", "sla-percentile", "step-tenants", "step-duration"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s requires -ramp", name)
-			}
-		}
-	}
-	if *slaP99 <= 0 || *slaPct <= 0 || *slaPct > 1 {
-		return fmt.Errorf("-sla-p99 must be > 0 and -sla-percentile in (0, 1]")
-	}
-	if *stepTen < 1 || *stepDur <= 0 {
-		return fmt.Errorf("-step-tenants must be >= 1 and -step-duration > 0")
-	}
-	if *zipfSizes < 0 {
-		return fmt.Errorf("-zipf-sizes must be >= 0")
-	}
-	if *gatePath == "" {
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["gate-tolerance"] {
-			return fmt.Errorf("-gate-tolerance requires -gate")
-		}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := c.check(set); err != nil {
+		return err
 	}
 	// Probe the arrival process once so a bad -arrival fails before any
 	// work; tenants each get their own instance (the processes are
@@ -312,148 +309,71 @@ func run(args []string, w io.Writer) error {
 	if _, err := workload.NewArrival(*arrival, 0.5, *arrPeriod); err != nil {
 		return err
 	}
-	kinds, kerr := domainKinds(*domainsFl)
-	if kerr != nil {
-		return kerr
+	domainMix, err := domainList(*domainsFl)
+	if err != nil {
+		return err
 	}
-	if *addr != "" {
-		// An external daemon's engine configuration is set by the
-		// daemon; local values would misstate the measured setup.
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		for _, name := range []string{"shards", "batch", "queue"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s is set by the daemon; it cannot be combined with -addr", name)
-			}
-		}
+	if c.addr != "" {
+		c.nodes = 1
 	}
+	// The kill drill is defined by its verification.
+	c.verify = c.verify || c.kill
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
 			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
 			return err
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
 	cfg := leasing.PowerLeaseConfig(3, 4, 0.55)
-	sizes := make([]int, *tenants)
+	sizes := make([]int, c.tenants)
 	for i := range sizes {
-		sizes[i] = *events
+		sizes[i] = c.events
 	}
-	if *zipfSizes > 0 {
-		var err error
-		if sizes, err = workload.ZipfSizes(*tenants, *zipfSizes, *tenants**events); err != nil {
+	if c.zipf > 0 {
+		if sizes, err = workload.ZipfSizes(c.tenants, c.zipf, c.tenants*c.events); err != nil {
 			return err
 		}
 	}
-	ts := make([]*tenant, *tenants)
+	ts := make([]*tenant, c.tenants)
 	domains := map[string]int{}
-	var total int64
 	for i := range ts {
-		t, err := buildTenant(i, kinds[i%len(kinds)], cfg, sim.TrialSeed(*seed, i), sizes[i], *arrival, *arrPeriod)
-		if err != nil {
+		domain := domainMix[i%len(domainMix)]
+		if ts[i], err = buildTenant(i, domain, cfg, sim.TrialSeed(c.seed, i), sizes[i], *arrival, *arrPeriod); err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
 		}
-		ts[i] = t
-		domains[t.domain]++
-		total += int64(len(t.events))
+		domains[domain]++
 	}
 
 	report := jsonReport{
-		Tool:        "leaseload",
-		Mode:        "engine",
-		GoVersion:   runtime.Version(),
-		Seed:        *seed,
-		Tenants:     *tenants,
-		Domains:     domains,
-		TotalEvents: total,
-		Shards:      *shards,
-		Batch:       *batch,
-		Queue:       *queue,
-		Producers:   *producers,
-		Chunk:       *chunk,
+		Tool:      "leaseload",
+		Mode:      c.mode(),
+		Nodes:     c.nodes,
+		WAL:       c.wal,
+		Kill:      c.kill,
+		GoVersion: runtime.Version(),
+		Seed:      c.seed,
+		Tenants:   c.tenants,
+		Domains:   domains,
+		Shards:    c.shards,
+		Batch:     c.batch,
+		Queue:     c.queue,
+		Producers: c.producers,
+		Chunk:     c.chunk,
 	}
-
-	if *durable {
-		// The durable benchmark is a pair of runs; its combined report
-		// is always JSON (the BENCH_PR5.json format).
-		combined, err := runDurableBench(report, ts, engineParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-		})
-		if err != nil {
-			return err
+	if c.nodes > 0 {
+		report.Encoding = "json"
+		if c.binary {
+			report.Encoding = "binary"
 		}
-		if err := writeJSON(combined, *outPath, w); err != nil {
-			return err
-		}
-		return gateCheck(combined, *gatePath, *gateTol, w)
 	}
-
-	if *clBench {
-		// Like the durable benchmark, the scaling benchmark is a series
-		// of runs with a combined, always-JSON report (BENCH_PR8.json).
-		combined, err := runClusterBench(report, ts, clusterBenchParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-			fleets: []int{1, 2, 4},
-		})
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(combined, *outPath, w); err != nil {
-			return err
-		}
-		return gateCheck(combined, *gatePath, *gateTol, w)
-	}
-
-	var err error
-	switch {
-	case *ramp:
-		report.Mode = "ramp"
-		err = runRamp(&report, ts, rampParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-			stepTenants: *stepTen, stepDur: *stepDur,
-			slaPct: *slaPct, slaMS: *slaP99,
-			seed: *seed, arrival: *arrival,
-		})
-	case *crash && *clusterFl:
-		report.Mode = "crash-cluster"
-		err = runClusterCrash(&report, ts, clusterCrashParams{
-			leasedBin: *leasedBin, nodes: *nodesFl,
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-		})
-	case *crash:
-		report.Mode = "crash"
-		err = runCrash(&report, ts, crashParams{
-			leasedBin: *leasedBin, dataDir: *dataDir,
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk,
-		})
-	case *remote:
-		report.Mode = "remote"
-		err = runRemote(&report, ts, remoteParams{
-			addr: *addr, shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-			binary: *binaryEnc,
-		})
-	default:
-		err = runEngine(&report, ts, engineParams{
-			shards: *shards, batch: *batch, queue: *queue,
-			producers: *producers, chunk: *chunk, verify: *verify,
-		}, nil)
-	}
-	if err != nil {
+	if err := measure(&report, ts, &c, *arrival); err != nil {
 		return err
 	}
 
@@ -464,13 +384,152 @@ func run(args []string, w io.Writer) error {
 	} else {
 		printText(w, report)
 	}
-	return gateCheck(report, *gatePath, *gateTol, w)
+	if rp := report.Ramp; rp != nil && rp.MaxTenantsUnderSLA == 0 {
+		s := rp.Steps[0]
+		return fmt.Errorf("no step met the SLA: the first step (%d tenants, completed %v) read %.1fµs at p%g over %d samples against %gms",
+			s.Tenants, s.Completed, s.LatencyAtSLAUS, 100*s.SLAPercentileUsed, s.Samples, rp.SLALatencyMS)
+	}
+	return gateCheck(report, c.gate, *gateTol, w)
+}
+
+// measure runs the steps. Each serves the first n tenants from a fresh
+// fleet (so steps are independent measurements, not survivors of
+// earlier saturation), n growing by -step-tenants until either the SLA
+// breaks or the -tenants ceiling holds it; an unstepped run is one step
+// over every tenant. A step meets the SLA when its whole load was
+// submitted before the step deadline AND its latency at the SLA
+// percentile stays under the threshold. A stepped run's headline is
+// its knee — the last step that met the SLA — and a one-step run's is
+// its measured rate.
+func measure(report *jsonReport, ts []*tenant, c *config, arrival string) error {
+	size := len(ts)
+	if c.stepped() {
+		size = c.stepTenants
+	}
+	r := &rampReport{
+		SLAPercentile:  c.slaPct,
+		SLALatencyMS:   c.slaMS,
+		StepTenants:    c.stepTenants,
+		StepDurationMS: float64(c.stepDur.Milliseconds()),
+		Arrival:        arrival,
+	}
+	for n := size; ; n += size {
+		n = min(n, len(ts))
+		s, m, err := runStep(c, ts[:n])
+		if err != nil {
+			return err
+		}
+		r.Steps = append(r.Steps, s)
+		// The top-level totals describe every step.
+		report.TotalEvents += s.SubmittedEvents
+		report.ElapsedMS += s.ElapsedMS
+		report.Engine = m
+		if s.SLAMet {
+			r.MaxTenantsUnderSLA = s.Tenants
+			r.MaxEventsPerSecUnderSLA = s.EventsPerSec
+			report.SubmitLatencyUS = s.SubmitLatencyUS
+		}
+		if !s.SLAMet || n == len(ts) {
+			break
+		}
+	}
+	if c.stepped() {
+		report.Ramp = r
+		report.EventsPerSec = r.MaxEventsPerSecUnderSLA
+	} else {
+		report.EventsPerSec = r.Steps[0].EventsPerSec
+		report.SubmitLatencyUS = r.Steps[0].SubmitLatencyUS
+	}
+	if c.addr != "" {
+		// The daemon owns its engine and log configuration: report the
+		// shard count it actually runs (visible in its metrics) and zero
+		// the knobs the load generator cannot observe.
+		report.Shards = len(report.Engine.Shards)
+		report.Batch, report.Queue, report.WAL = 0, 0, ""
+	}
+	if c.verify {
+		report.Verified = &c.verify
+	}
+	return nil
+}
+
+// slaQuantile is the quantile a step's SLA is checked at: q, unless
+// fewer than minBeyond of the n samples lie beyond it, then the highest
+// quantile that leaves minBeyond beyond (the maximum when there are no
+// more than minBeyond samples). A p99 over a step's ~125 submits would
+// rest on one or two of them, so a single scheduling hiccup could break
+// the SLA; servebench reports its tails by the same rule.
+func slaQuantile(n int64, q float64) float64 {
+	switch {
+	case float64(n)*(1-q) >= minBeyond:
+		return q
+	case n <= minBeyond:
+		return 1
+	default:
+		return float64(n-minBeyond) / float64(n)
+	}
+}
+
+// produce partitions tenants across -producers goroutines; each
+// producer round-robins its tenants in -chunk slices so shard queues see
+// interleaved multi-tenant traffic, and records the latency of every
+// submit call (which includes any backpressure stall or retry) into res
+// — a fixed-size reservoir, so the sample's memory is bounded no matter
+// how long the run submits. Acknowledged events are counted in f.acked,
+// and under -kill the submit that crosses f.killAt SIGKILLs the victim.
+// It returns the submission start time, so callers can measure elapsed
+// across their flush barrier, and the first submit error: a failed
+// producer stops, and the run is reported as failed rather than as a
+// silently partial success — unless the error came after the kill,
+// which is the point. A non-nil stop is polled between submits; once it
+// reports true producers wind down cleanly — how a step enforces its
+// deadline.
+func (f *fleet) produce(ts []*tenant, res *stats.Reservoir, stop func() bool) (time.Time, error) {
+	producers, chunk := f.c.producers, f.c.chunk
+	errs := make([]error, producers)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			// Every live tenant advances one chunk per round.
+			for lo, live := 0, true; live; lo += chunk {
+				live = false
+				for i := p; i < len(ts); i += producers {
+					t := ts[i]
+					if stop != nil && stop() {
+						return
+					}
+					if lo >= len(t.events) {
+						continue
+					}
+					hi := min(lo+chunk, len(t.events))
+					t0 := time.Now()
+					if err := f.submit(t, lo, hi); err != nil {
+						if !f.dying.Load() {
+							errs[p] = fmt.Errorf("producer %d: %s events [%d:%d): %w", p, t.name, lo, hi, err)
+						}
+						return
+					}
+					res.Add(float64(time.Since(t0).Nanoseconds()) / 1e3)
+					acked := f.acked.Add(int64(hi - lo))
+					if f.victim != nil && acked >= f.killAt && f.dying.CompareAndSwap(false, true) {
+						f.victim.cmd.Process.Kill()
+					}
+					live = live || hi < len(t.events)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	return start, errors.Join(errs...)
 }
 
 // gateCheck runs the perf-regression gate when -gate is set: the just-
 // measured report is compared against the committed snapshot and the
 // run fails on regression beyond the tolerance.
-func gateCheck(report any, gatePath string, tolerance float64, w io.Writer) error {
+func gateCheck(report jsonReport, gatePath string, tolerance float64, w io.Writer) error {
 	if gatePath == "" {
 		return nil
 	}
@@ -483,676 +542,51 @@ func gateCheck(report any, gatePath string, tolerance float64, w io.Writer) erro
 	return nil
 }
 
-type engineParams struct {
-	shards, batch, queue, producers, chunk int
-	verify                                 bool
-}
-
-// runEngine drives the in-process engine, the original leaseload mode.
-// A non-nil wlog makes the engine durable: sessions open through
-// OpenSpec (so the log can rebuild them) and every submit is
-// write-ahead logged before it is enqueued.
-func runEngine(report *jsonReport, ts []*tenant, p engineParams, wlog *leasing.DurableLog) error {
-	cfg := leasing.EngineConfig{
-		Shards:     p.shards,
-		QueueDepth: p.queue,
-		BatchSize:  p.batch,
-		RecordRuns: p.verify,
-	}
-	if wlog != nil {
-		// Assigned only when non-nil: a typed nil pointer in the WAL
-		// interface field would read as a configured WAL.
-		cfg.WAL = wlog
-	}
-	eng := leasing.NewEngine(cfg)
-	defer eng.Close()
-	for _, t := range ts {
-		lsr, err := t.fresh()
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		if wlog != nil {
-			var spec []byte
-			if spec, err = leasing.WireOpenSpec(t.spec); err == nil {
-				err = eng.OpenSpec(t.name, lsr, spec)
-			}
-		} else {
-			err = eng.Open(t.name, lsr)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-	}
-
-	res := stats.NewReservoir(latReservoirCap, report.Seed)
-	_, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		return eng.SubmitBatch(t.name, t.events[lo:hi])
-	}, p.chunk, res, nil, nil)
-	if err != nil {
-		return err
-	}
-	if err := eng.Flush(); err != nil {
-		return err
-	}
-	// Elapsed spans submission AND the flush barrier, so events still
-	// queued on shards when producers finish are not counted as done —
-	// the semantics every committed BENCH_PR*.json was measured with.
-	elapsed := time.Since(start)
-
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-	report.SubmitLatencyUS = summarize(res)
-	report.Engine = eng.Metrics()
-
-	if p.verify {
-		ok := true
-		for _, t := range ts {
-			if err := verifyTenant(eng, t); err != nil {
-				ok = false
-				fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-			}
-		}
-		report.Verified = &ok
-		if !ok {
-			return fmt.Errorf("engine output diverged from Replay")
-		}
-	}
-	return nil
-}
-
-type remoteParams struct {
-	addr                                   string
-	shards, batch, queue, producers, chunk int
-	verify                                 bool
-	binary                                 bool
-}
-
-// runRemote drives the HTTP lease service: against a running daemon at
-// p.addr, or against an in-process loopback daemon started here (the
-// zero-setup path, also how the committed BENCH_PR4.json is produced).
-func runRemote(report *jsonReport, ts []*tenant, p remoteParams) error {
-	ctx := context.Background()
-	addr := p.addr
-	if addr == "" {
-		eng := leasing.NewEngine(leasing.EngineConfig{
-			Shards:     p.shards,
-			QueueDepth: p.queue,
-			BatchSize:  p.batch,
-			RecordRuns: p.verify,
-		})
-		srv := &http.Server{Handler: leasing.Serve(eng, leasing.LeaseServerConfig{})}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			eng.Close()
-			return err
-		}
-		go srv.Serve(ln)
-		defer func() {
-			srv.Close()
-			eng.Close()
-		}()
-		addr = "http://" + ln.Addr().String()
-	}
-	report.Encoding = "json"
-	if p.binary {
-		report.Encoding = "binary"
-	}
-	cli := leasing.Dial(addr, leasing.RemoteClientOptions{Chunk: p.chunk, Binary: p.binary})
-	if err := cli.Health(ctx); err != nil {
-		return fmt.Errorf("health check %s: %w", addr, err)
-	}
-
-	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		t.wevs = wevs
-		if err := cli.Open(ctx, t.name, t.spec); err != nil {
-			return fmt.Errorf("open %s: %w", t.name, err)
-		}
-	}
-
-	res := stats.NewReservoir(latReservoirCap, report.Seed)
-	_, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		_, err := cli.Submit(ctx, t.name, t.wevs[lo:hi])
-		return err
-	}, p.chunk, res, nil, nil)
-	if err != nil {
-		return err
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	// As in engine mode, elapsed spans submission and the flush barrier.
-	elapsed := time.Since(start)
-
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-	report.SubmitLatencyUS = summarize(res)
-	m, err := cli.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	report.Engine = m.Engine()
-	if p.addr != "" {
-		// The daemon owns its engine configuration: report the shard
-		// count it actually runs (visible in its metrics) and zero the
-		// knobs the load generator cannot observe.
-		report.Shards = len(m.Shards)
-		report.Batch, report.Queue = 0, 0
-	}
-
-	if p.verify {
-		ok := true
-		for _, t := range ts {
-			if err := verifyRemoteTenant(ctx, cli, t); err != nil {
-				ok = false
-				fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-			}
-		}
-		report.Verified = &ok
-		if !ok {
-			return fmt.Errorf("remote output diverged from Replay")
-		}
-	}
-	return nil
-}
-
-// durableReport is the combined fsync-on/off report -durable-bench
-// emits (committed as BENCH_PR5.json): the same workload run twice
-// through a WAL-backed engine, differing only in whether every
-// acknowledged append is fsynced.
-type durableReport struct {
-	Tool        string     `json:"tool"`
-	Mode        string     `json:"mode"`
-	GoVersion   string     `json:"go_version"`
-	Seed        int64      `json:"seed"`
-	Tenants     int        `json:"tenants"`
-	TotalEvents int64      `json:"total_events"`
-	FsyncOff    jsonReport `json:"fsync_off"`
-	FsyncOn     jsonReport `json:"fsync_on"`
-}
-
-// runDurableBench measures the WAL's cost at the engine boundary: the
-// standard in-process workload through a durable engine, once without
-// fsync (appends hit the file, group commit idle) and once with it
-// (every acknowledgement is disk-durable). Each run gets a fresh
-// temporary data dir.
-func runDurableBench(base jsonReport, ts []*tenant, p engineParams) (durableReport, error) {
-	combined := durableReport{
-		Tool: "leaseload", Mode: "durable-bench",
-		GoVersion: base.GoVersion, Seed: base.Seed,
-		Tenants: base.Tenants, TotalEvents: base.TotalEvents,
-	}
-	runOnce := func(rep *jsonReport, fsync bool) error {
-		dir, err := os.MkdirTemp("", "leaseload-wal-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		wlog, err := leasing.OpenDurableLog(dir, leasing.DurableLogOptions{Fsync: fsync})
-		if err != nil {
-			return err
-		}
-		defer wlog.Close()
-		return runEngine(rep, ts, p, wlog)
-	}
-	for _, fsync := range []bool{false, true} {
-		rep := base
-		if fsync {
-			rep.Mode = "durable-fsync-on"
-		} else {
-			rep.Mode = "durable-fsync-off"
-		}
-		if err := runOnce(&rep, fsync); err != nil {
-			return combined, err
-		}
-		if fsync {
-			combined.FsyncOn = rep
-		} else {
-			combined.FsyncOff = rep
-		}
-	}
-	return combined, nil
-}
-
-type rampParams struct {
-	shards, batch, queue, producers, chunk int
-	stepTenants                            int
-	stepDur                                time.Duration
-	slaPct, slaMS                          float64
-	seed                                   int64
-	arrival                                string
-}
-
-// runRamp is the SLA-driven stepped harness: each step serves the first
-// n tenants from a fresh engine (so steps are independent measurements,
-// not survivors of earlier saturation), n growing by stepTenants until
-// either the SLA breaks or the -tenants ceiling holds it. A step meets
-// the SLA when its whole load was submitted before the step deadline
-// AND the configured latency percentile stays under the threshold. The
-// knee — the last step that met the SLA — is the report's headline:
-// max sustainable throughput under SLA.
-func runRamp(report *jsonReport, ts []*tenant, p rampParams) error {
-	slaUS := p.slaMS * 1000
-	r := &rampReport{
-		SLAPercentile:  p.slaPct,
-		SLALatencyMS:   p.slaMS,
-		StepTenants:    p.stepTenants,
-		StepDurationMS: float64(p.stepDur.Milliseconds()),
-		Arrival:        p.arrival,
-	}
-	report.Ramp = r
-	var totalSubmitted int64
-	var totalElapsedMS float64
-	for n := min(p.stepTenants, len(ts)); ; n += p.stepTenants {
-		n = min(n, len(ts))
-		step, m, err := runRampStep(ts[:n], p, slaUS)
-		if err != nil {
-			return err
-		}
-		r.Steps = append(r.Steps, step)
-		totalSubmitted += step.SubmittedEvents
-		totalElapsedMS += step.ElapsedMS
-		report.Engine = m
-		if step.SLAMet {
-			r.MaxTenantsUnderSLA = step.Tenants
-			r.MaxEventsPerSecUnderSLA = step.EventsPerSec
-			report.SubmitLatencyUS = step.SubmitLatencyUS
-		}
-		if !step.SLAMet || n == len(ts) {
-			break
-		}
-	}
-	// In ramp mode the top-level totals describe the whole ramp, and the
-	// headline throughput is the knee's — what the perf gate compares.
-	report.TotalEvents = totalSubmitted
-	report.ElapsedMS = totalElapsedMS
-	report.EventsPerSec = r.MaxEventsPerSecUnderSLA
-	return nil
-}
-
-// runRampStep measures one rung: open the step's tenants on a fresh
-// engine, submit their streams until done or deadline, flush, and
-// sample the latency reservoir at the SLA percentile.
-func runRampStep(ts []*tenant, p rampParams, slaUS float64) (rampStep, leasing.EngineMetrics, error) {
-	eng := leasing.NewEngine(leasing.EngineConfig{
-		Shards:     p.shards,
-		QueueDepth: p.queue,
-		BatchSize:  p.batch,
-	})
-	defer eng.Close()
-	var total int64
-	for _, t := range ts {
-		lsr, err := t.fresh()
-		if err != nil {
-			return rampStep{}, leasing.EngineMetrics{}, fmt.Errorf("%s: %w", t.name, err)
-		}
-		if err := eng.Open(t.name, lsr); err != nil {
-			return rampStep{}, leasing.EngineMetrics{}, fmt.Errorf("%s: %w", t.name, err)
-		}
-		total += int64(len(t.events))
-	}
-	res := stats.NewReservoir(latReservoirCap, p.seed)
-	deadline := time.Now().Add(p.stepDur)
-	submitted, start, err := produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		return eng.SubmitBatch(t.name, t.events[lo:hi])
-	}, p.chunk, res, nil, func() bool { return !time.Now().Before(deadline) })
-	if err != nil {
-		return rampStep{}, leasing.EngineMetrics{}, err
-	}
-	if err := eng.Flush(); err != nil {
-		return rampStep{}, leasing.EngineMetrics{}, err
-	}
-	elapsed := time.Since(start)
-
-	lat := res.Quantiles(p.slaPct)[0]
-	completed := submitted == total
-	step := rampStep{
-		Tenants:         len(ts),
-		SubmittedEvents: submitted,
-		Completed:       completed,
-		ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
-		EventsPerSec:    float64(submitted) / elapsed.Seconds(),
-		SubmitLatencyUS: summarize(res),
-		LatencyAtSLAUS:  lat,
-		SLAMet:          completed && lat <= slaUS,
-	}
-	return step, eng.Metrics(), nil
-}
-
-type crashParams struct {
-	leasedBin, dataDir                     string
-	shards, batch, queue, producers, chunk int
-}
-
-// runCrash is the kill-and-recover drill. Phase one spawns a durable,
-// recording, fsyncing daemon and pumps load at it from concurrent
-// producers; once half the total events are acknowledged the daemon is
-// SIGKILLed mid-flight (producers treat errors after the kill begins as
-// expected). Phase two restarts the same binary on the same data dir,
-// flushes, reads every tenant's recovered processed-event count — the
-// authoritative resume point, since the WAL can hold acknowledged
-// events whose responses were lost with the process — submits the
-// remainder of each tenant's stream, and verifies every tenant's
-// result byte-identical to a single-threaded Replay of its full logged
-// history. The recovered daemon is finally drained with SIGTERM and
-// must exit cleanly.
-func runCrash(report *jsonReport, ts []*tenant, p crashParams) error {
-	ctx := context.Background()
-	dir := p.dataDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "leaseload-crash-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-	}
-	port, err := freePort()
-	if err != nil {
-		return err
-	}
-	hostport := fmt.Sprintf("127.0.0.1:%d", port)
-	daemonArgs := []string{
-		"-addr", hostport, "-record", "-data-dir", dir, "-fsync",
-		"-shards", strconv.Itoa(p.shards),
-		"-queue", strconv.Itoa(p.queue),
-		"-batch", strconv.Itoa(p.batch),
-	}
-	start := func() (*exec.Cmd, error) {
-		cmd := exec.Command(p.leasedBin, daemonArgs...)
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("start %s: %w", p.leasedBin, err)
-		}
-		return cmd, nil
-	}
-	cli := leasing.Dial("http://"+hostport, leasing.RemoteClientOptions{Chunk: p.chunk})
-	t0 := time.Now()
-
-	// Phase one: spawn, open every tenant, pump load, SIGKILL mid-load.
-	daemon, err := start()
-	if err != nil {
-		return err
-	}
-	kill := func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}
-	if err := waitHealthy(ctx, cli, 15*time.Second); err != nil {
-		kill()
-		return err
-	}
-	for _, t := range ts {
-		wevs, err := leasing.WireEvents(t.events)
-		if err != nil {
-			kill()
-			return fmt.Errorf("%s: %w", t.name, err)
-		}
-		t.wevs = wevs
-		if err := cli.Open(ctx, t.name, t.spec); err != nil {
-			kill()
-			return fmt.Errorf("open %s: %w", t.name, err)
-		}
-	}
-
-	var accepted atomic.Int64
-	var dying atomic.Bool
-	killAt := max(report.TotalEvents/2, 1)
-	doneProducing := make(chan struct{})
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if accepted.Load() < killAt {
-					continue
-				}
-			case <-doneProducing:
-			}
-			dying.Store(true)
-			daemon.Process.Kill()
-			return
-		}
-	}()
-
-	// Errors once the kill is underway are the whole point of the drill;
-	// anything earlier is a real failure.
-	_, _, err = produce(ts, p.producers, func(t *tenant, lo, hi int) error {
-		n, err := cli.Submit(ctx, t.name, t.wevs[lo:hi])
-		accepted.Add(int64(n))
-		return err
-	}, p.chunk, stats.NewReservoir(latReservoirCap, report.Seed), func(error) bool { return dying.Load() }, nil)
-	close(doneProducing)
-	<-killed
-	daemon.Wait() // reap; a kill-induced exit error is expected
-	if err != nil {
-		return fmt.Errorf("pre-kill failure: %w", err)
-	}
-
-	// Phase two: restart on the same data dir, resume, verify, drain.
-	daemon2, err := start()
-	if err != nil {
-		return err
-	}
-	graceful := false
-	defer func() {
-		if !graceful {
-			daemon2.Process.Kill()
-			daemon2.Wait()
-		}
-	}()
-	if err := waitHealthy(ctx, cli, 15*time.Second); err != nil {
-		return err
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	for _, t := range ts {
-		n, err := cli.Processed(ctx, t.name)
-		if err != nil {
-			return fmt.Errorf("recovered count of %s: %w", t.name, err)
-		}
-		if n > int64(len(t.wevs)) {
-			return fmt.Errorf("%s: recovered %d events, only %d were ever submitted", t.name, n, len(t.wevs))
-		}
-		if _, err := cli.Submit(ctx, t.name, t.wevs[n:]); err != nil {
-			return fmt.Errorf("resume %s after %d: %w", t.name, n, err)
-		}
-	}
-	if err := cli.Flush(ctx, ts[0].name); err != nil {
-		return err
-	}
-	elapsed := time.Since(t0)
-	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-	report.EventsPerSec = float64(report.TotalEvents) / elapsed.Seconds()
-
-	if m, err := cli.Metrics(ctx); err == nil {
-		report.Engine = m.Engine()
-	}
-	ok := true
-	for _, t := range ts {
-		if err := verifyRemoteTenant(ctx, cli, t); err != nil {
-			ok = false
-			fmt.Fprintf(os.Stderr, "leaseload: verify %s: %v\n", t.name, err)
-		}
-	}
-	report.Verified = &ok
-
-	if err := daemon2.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := daemon2.Wait(); err != nil {
-		return fmt.Errorf("recovered daemon did not drain cleanly: %w", err)
-	}
-	graceful = true
-	if !ok {
-		return fmt.Errorf("kill-and-recover parity failed: a recovered tenant diverged from Replay of its logged history")
-	}
-	return nil
-}
-
-// waitHealthy polls the daemon's liveness probe until it answers.
-func waitHealthy(ctx context.Context, cli *leasing.RemoteClient, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if err := cli.Health(ctx); err == nil {
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("daemon not healthy within %v", timeout)
-}
-
-// freePort reserves-and-releases an ephemeral port for the spawned
-// daemon. The race between release and reuse is acceptable for a drill.
-func freePort() (int, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer ln.Close()
-	return ln.Addr().(*net.TCPAddr).Port, nil
-}
-
-// produce partitions tenants across producer goroutines; each producer
-// round-robins its tenants in chunks so shard queues see interleaved
-// multi-tenant traffic, and records the latency of every submit call
-// (which includes any backpressure stall or retry) into res — a
-// fixed-size reservoir, so the sample's memory is bounded no matter how
-// long the run submits. It returns how many events were submitted and
-// the submission start time so callers can measure elapsed across their
-// flush barrier, plus the first submit error (a failed producer stops,
-// but the run is then reported as failed rather than as a silently
-// partial success). A non-nil tolerate classifies submit errors: a
-// tolerated error stops the producer without failing the run — how the
-// crash drill absorbs the daemon dying under it. A non-nil stop is
-// polled between submits; once it reports true producers wind down
-// cleanly — how a ramp step enforces its deadline.
-func produce(ts []*tenant, producers int, submit func(t *tenant, lo, hi int) error, chunk int, res *stats.Reservoir, tolerate func(error) bool, stop func() bool) (int64, time.Time, error) {
-	errs := make([]error, producers)
-	var submitted atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var mine []*tenant
-			for i := p; i < len(ts); i += producers {
-				mine = append(mine, ts[i])
-			}
-			offset := make([]int, len(mine))
-			for live := len(mine); live > 0; {
-				live = 0
-				for i, t := range mine {
-					if stop != nil && stop() {
-						return
-					}
-					lo := offset[i]
-					if lo >= len(t.events) {
-						continue
-					}
-					hi := min(lo+chunk, len(t.events))
-					t0 := time.Now()
-					if err := submit(t, lo, hi); err != nil {
-						if tolerate == nil || !tolerate(err) {
-							errs[p] = fmt.Errorf("producer %d: %s events [%d:%d): %w", p, t.name, lo, hi, err)
-						}
-						return
-					}
-					res.Add(float64(time.Since(t0).Nanoseconds()) / 1e3)
-					submitted.Add(int64(hi - lo))
-					offset[i] = hi
-					if hi < len(t.events) {
-						live++
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	return submitted.Load(), start, errors.Join(errs...)
-}
-
-func summarize(res *stats.Reservoir) latencyStats {
-	qs := res.Quantiles(0.50, 0.90, 0.99)
-	return latencyStats{P50: qs[0], P90: qs[1], P99: qs[2], Max: res.Max()}
-}
-
-// buildTenant synthesizes one tenant's instance, event stream, leaser
-// factory and wire spec; the domain cycles with the tenant index. All
-// randomness flows from tseed, so a tenant is reproducible independent
-// of the others. The arrival process named by arrivalName gates which
-// steps carry demand; each tenant gets its own instance (the processes
-// are stateful), with mean rate 0.5 so every process lands near the
-// same event volume. "constant" consumes the rng exactly like the
-// original Bernoulli(0.5) streams, so default traffic is unchanged
-// across committed seeds and BENCH snapshots.
 // domainOrder is the full domain cycle, in the order tenants have
 // always been assigned to it; -domains picks a subset.
 var domainOrder = []string{"days", "deadline", "elements", "facility", "steiner", "reusable"}
 
-// domainKinds parses the -domains list into buildTenant kind indexes.
-func domainKinds(list string) ([]int, error) {
-	var kinds []int
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		k := slices.Index(domainOrder, name)
-		if k < 0 {
-			return nil, fmt.Errorf("-domains: unknown domain %q (choose from %s)", name, strings.Join(domainOrder, ", "))
+// domainList parses and validates the -domains list.
+func domainList(list string) ([]string, error) {
+	names := strings.Split(list, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if !slices.Contains(domainOrder, names[i]) {
+			return nil, fmt.Errorf("-domains: unknown domain %q (choose from %s)", names[i], strings.Join(domainOrder, ", "))
 		}
-		kinds = append(kinds, k)
 	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-domains must name at least one domain")
-	}
-	return kinds, nil
+	return names, nil
 }
 
-func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int, arrivalName string, period int64) (*tenant, error) {
+// buildTenant synthesizes one tenant's event stream and wire spec in
+// the given domain. All randomness flows from tseed, so a
+// tenant is reproducible independent of the others. The arrival process
+// named by arrivalName gates which steps carry demand; each tenant gets
+// its own instance (the processes are stateful), with mean rate 0.5 so
+// every process lands near the same event volume. "constant" consumes
+// the rng exactly like the original Bernoulli(0.5) streams, so default
+// traffic is unchanged across committed seeds and BENCH snapshots.
+func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, events int, arrivalName string, period int64) (*tenant, error) {
 	rng := rand.New(rand.NewSource(tseed))
 	horizon := int64(2 * events)
 	arr, err := workload.NewArrival(arrivalName, 0.5, period)
 	if err != nil {
 		return nil, err
 	}
-	types := leasing.WireLeaseTypes(cfg)
-	switch kind {
-	case 0:
-		days := workload.ArrivalDays(rng, horizon, arr)
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-days", i),
-			domain: "days",
-			events: leasing.DayEvents(days),
-			fresh: func() (leasing.Leaser, error) {
-				alg, err := leasing.NewDeterministicParkingPermit(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return leasing.NewParkingStream(alg), nil
-			},
-			spec: leasing.RemoteOpenRequest{Domain: wire.DomainParking, Types: types},
-		}, nil
+	t := &tenant{
+		name: fmt.Sprintf("t%04d-%s", i, domain),
+		spec: leasing.RemoteOpenRequest{Types: leasing.WireLeaseTypes(cfg)},
+	}
+	switch domain {
+	case "days":
+		t.events = leasing.DayEvents(workload.ArrivalDays(rng, horizon, arr))
+		t.spec.Domain = wire.DomainParking
 
-	case 1:
-		clients := workload.DeadlineArrivals(rng, horizon, arr, 12)
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-deadline", i),
-			domain: "deadline",
-			events: leasing.WindowEvents(clients),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewDeadlineStream(cfg)
-			},
-			spec: leasing.RemoteOpenRequest{Domain: wire.DomainDeadline, Types: types},
-		}, nil
+	case "deadline":
+		t.events = leasing.WindowEvents(workload.DeadlineArrivals(rng, horizon, arr, 12))
+		t.spec.Domain = wire.DomainDeadline
 
-	case 2:
+	case "elements":
 		const n, m, delta = 32, 20, 3
 		zipf, err := workload.NewZipf(rng, n, 1.5)
 		if err != nil {
@@ -1165,10 +599,6 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 			return nil, err
 		}
 		costs := leasing.RandomSetCosts(rng, m, cfg, 0.5)
-		inst, err := leasing.NewSetCoverInstance(fam, cfg, costs, arrivals, leasing.PerArrival)
-		if err != nil {
-			return nil, err
-		}
 		sets := make([][]int, fam.M())
 		for s := range sets {
 			sets[s] = fam.Set(s)
@@ -1177,28 +607,17 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 		for j, a := range arrivals {
 			warr[j] = wire.ElementArrival{T: a.T, Elem: a.Elem, P: a.P}
 		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-elements", i),
-			domain: "elements",
-			events: leasing.ElementEvents(arrivals),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewSetCoverStream(inst, rand.New(rand.NewSource(tseed+1)))
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainSetCover, Types: types, Seed: tseed + 1,
-				SetCover: &wire.SetCoverSpec{
-					Elements: n, Sets: sets, Costs: costs, Arrivals: warr,
-				},
-			},
-		}, nil
+		t.events = leasing.ElementEvents(arrivals)
+		t.spec.Domain, t.spec.Seed = wire.DomainSetCover, tseed+1
+		t.spec.SetCover = &wire.SetCoverSpec{Elements: n, Sets: sets, Costs: costs, Arrivals: warr}
 
-	case 3:
+	case "facility":
 		// Client batches clustered around a handful of sites; one Batch
 		// event per step (empty steps included, as in stream.Batches).
 		const sitesN = 6
-		sites := make([]leasing.Point, sitesN)
+		sites := make([]wire.Point, sitesN)
 		for s := range sites {
-			sites[s] = leasing.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
+			sites[s] = wire.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
 		}
 		facCosts := make([][]float64, sitesN)
 		for s := range facCosts {
@@ -1215,69 +634,40 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 		// byte-for-byte (committed BENCH traffic); other processes gate
 		// which steps receive clients, like every other domain.
 		batches := make([][]leasing.Point, events/2+1)
-		for t := range batches {
+		wbatches := make([][]wire.Point, len(batches))
+		for step := range batches {
 			c := rng.Intn(3)
 			if arrivalName != "constant" {
 				c = 0
-				if arr.Step(rng, int64(t)) {
+				if arr.Step(rng, int64(step)) {
 					c = 1 + rng.Intn(2)
 				}
 			}
 			for ; c > 0; c-- {
 				s := sites[rng.Intn(sitesN)]
-				batches[t] = append(batches[t], leasing.Point{
-					X: s.X + rng.Float64()*4, Y: s.Y + rng.Float64()*4})
+				p := leasing.Point{X: s.X + rng.Float64()*4, Y: s.Y + rng.Float64()*4}
+				batches[step] = append(batches[step], p)
+				wbatches[step] = append(wbatches[step], wire.Point{X: p.X, Y: p.Y})
 			}
 		}
-		inst, err := leasing.NewFacilityInstance(cfg, sites, facCosts, batches)
-		if err != nil {
-			return nil, err
-		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-facility", i),
-			domain: "facility",
-			events: leasing.BatchEvents(batches),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewFacilityStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainFacility, Types: types,
-				Facility: &wire.FacilitySpec{
-					Sites:   wirePoints(sites),
-					Costs:   facCosts,
-					Batches: wireBatches(batches),
-				},
-			},
-		}, nil
+		t.events = leasing.BatchEvents(batches)
+		t.spec.Domain = wire.DomainFacility
+		t.spec.Facility = &wire.FacilitySpec{Sites: sites, Costs: facCosts, Batches: wbatches}
 
-	case 5:
+	case "reusable":
 		// Reusable-resource pool: demand steps gated by the arrival
 		// process, usage durations uniform in [1, 8], capacity sized so
 		// both grants and whole-pool-busy rejections occur.
-		const capacity = 4
 		days := workload.ArrivalDays(rng, horizon, arr)
 		reqs := make([]leasing.ReusableRequest, len(days))
 		for j, d := range days {
 			reqs[j] = leasing.ReusableRequest{T: d, Dur: 1 + int64(rng.Intn(8))}
 		}
-		inst, err := leasing.NewReusableInstance(cfg, capacity, reqs)
-		if err != nil {
-			return nil, err
-		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-reusable", i),
-			domain: "reusable",
-			events: leasing.UseEvents(reqs),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewReusableStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainReusable, Types: types,
-				Reusable: &wire.ReusableSpec{Capacity: capacity},
-			},
-		}, nil
+		t.events = leasing.UseEvents(reqs)
+		t.spec.Domain = wire.DomainReusable
+		t.spec.Reusable = &wire.ReusableSpec{Capacity: 4}
 
-	default:
+	default: // steiner
 		const terminals = 16
 		g, err := leasing.RandomConnectedGraph(rng, terminals, 3*terminals, 1, 10)
 		if err != nil {
@@ -1293,139 +683,15 @@ func buildTenant(i, kind int, cfg *leasing.LeaseConfig, tseed int64, events int,
 			reqs[j] = leasing.SteinerRequest{Time: c.T, S: c.S, T: c.U}
 			wreqs[j] = wire.ConnectRequest{T: c.T, S: c.S, U: c.U}
 		}
-		inst, err := leasing.NewSteinerInstance(g, cfg, reqs)
-		if err != nil {
-			return nil, err
-		}
 		edges := make([]wire.Edge, g.M())
 		for j, e := range g.Edges() {
 			edges[j] = wire.Edge{U: e.U, V: e.V, W: e.Weight}
 		}
-		return &tenant{
-			name:   fmt.Sprintf("t%04d-steiner", i),
-			domain: "steiner",
-			events: leasing.ConnectEvents(reqs),
-			fresh: func() (leasing.Leaser, error) {
-				return leasing.NewSteinerStream(inst)
-			},
-			spec: leasing.RemoteOpenRequest{
-				Domain: wire.DomainSteiner, Types: types,
-				Steiner: &wire.SteinerSpec{
-					Vertices: terminals, Edges: edges, Requests: wreqs,
-				},
-			},
-		}, nil
+		t.events = leasing.ConnectEvents(reqs)
+		t.spec.Domain = wire.DomainSteiner
+		t.spec.Steiner = &wire.SteinerSpec{Vertices: terminals, Edges: edges, Requests: wreqs}
 	}
-}
-
-func wirePoints(ps []leasing.Point) []wire.Point {
-	out := make([]wire.Point, len(ps))
-	for i, p := range ps {
-		out[i] = wire.Point{X: p.X, Y: p.Y}
-	}
-	return out
-}
-
-func wireBatches(batches [][]leasing.Point) [][]wire.Point {
-	out := make([][]wire.Point, len(batches))
-	for t, b := range batches {
-		if b != nil {
-			out[t] = wirePoints(b)
-		}
-	}
-	return out
-}
-
-// verifyTenant holds the engine to its determinism anchor: the recorded
-// run, cached cost and snapshot must equal a fresh single-threaded
-// Replay of the tenant's events.
-func verifyTenant(eng *leasing.Engine, t *tenant) error {
-	got, err := eng.Result(t.name)
-	if err != nil {
-		return err
-	}
-	ref, err := t.fresh()
-	if err != nil {
-		return err
-	}
-	want, err := leasing.Replay(ref, t.events)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		return fmt.Errorf("recorded run differs from Replay")
-	}
-	cost, err := eng.Cost(t.name)
-	if err != nil {
-		return err
-	}
-	if cost != want.Final {
-		return fmt.Errorf("cached cost %+v != replay final %+v", cost, want.Final)
-	}
-	sol, err := eng.Snapshot(t.name)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", sol) != fmt.Sprintf("%#v", ref.Snapshot()) {
-		return fmt.Errorf("cached snapshot differs from replay snapshot")
-	}
-	return nil
-}
-
-// tenantReader is the read surface verifyRemoteTenant checks — the
-// single-node client and the cluster client both provide it, so the
-// crash drills share one verification.
-type tenantReader interface {
-	Result(context.Context, string) (*wire.Run, error)
-	Cost(context.Context, string) (wire.CostBreakdown, error)
-	Snapshot(context.Context, string) (wire.Solution, error)
-	Close(context.Context, string) (wire.CloseResponse, error)
-}
-
-// verifyRemoteTenant holds the service to the same anchor over the
-// network: the run fetched through the result endpoint must be
-// byte-identical to a single-threaded Replay of a leaser built from the
-// tenant's own wire spec, the cost endpoint must agree exactly, and
-// close must report the session's full event count.
-func verifyRemoteTenant(ctx context.Context, cli tenantReader, t *tenant) error {
-	wrun, err := cli.Result(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	got := wrun.Stream()
-	ref, err := t.spec.Build()
-	if err != nil {
-		return err
-	}
-	want, err := leasing.Replay(ref, t.events)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		return fmt.Errorf("remote run differs from Replay")
-	}
-	cost, err := cli.Cost(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if cost.Stream() != want.Final || cost.Total != want.Final.Total() {
-		return fmt.Errorf("remote cost %+v != replay final %+v", cost, want.Final)
-	}
-	snap, err := cli.Snapshot(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if fmt.Sprintf("%#v", snap.Stream()) != fmt.Sprintf("%#v", ref.Snapshot()) {
-		return fmt.Errorf("remote snapshot differs from replay snapshot")
-	}
-	closed, err := cli.Close(ctx, t.name)
-	if err != nil {
-		return err
-	}
-	if closed.Events != int64(len(t.events)) {
-		return fmt.Errorf("close reports %d events, submitted %d", closed.Events, len(t.events))
-	}
-	return nil
+	return t, nil
 }
 
 func writeJSON(report any, outPath string, w io.Writer) error {
@@ -1449,23 +715,18 @@ func writeJSON(report any, outPath string, w io.Writer) error {
 }
 
 func printText(w io.Writer, r jsonReport) {
+	fmt.Fprintf(w, "mode:    %s (nodes=%d wal=%s", r.Mode, r.Nodes, r.WAL)
 	if r.Encoding != "" {
-		fmt.Fprintf(w, "mode:    %s (%s encoding)\n", r.Mode, r.Encoding)
-	} else {
-		fmt.Fprintf(w, "mode:    %s\n", r.Mode)
-	}
-	fmt.Fprintf(w, "tenants: %d (", r.Tenants)
-	first := true
-	for _, d := range domainOrder {
-		if n, ok := r.Domains[d]; ok {
-			if !first {
-				fmt.Fprint(w, ", ")
-			}
-			fmt.Fprintf(w, "%s %d", d, n)
-			first = false
-		}
+		fmt.Fprintf(w, ", %s encoding", r.Encoding)
 	}
 	fmt.Fprintln(w, ")")
+	var mix []string
+	for _, d := range domainOrder {
+		if n, ok := r.Domains[d]; ok {
+			mix = append(mix, fmt.Sprintf("%s %d", d, n))
+		}
+	}
+	fmt.Fprintf(w, "tenants: %d (%s)\n", r.Tenants, strings.Join(mix, ", "))
 	fmt.Fprintf(w, "engine:  shards=%d batch=%d queue=%d producers=%d chunk=%d\n",
 		r.Shards, r.Batch, r.Queue, r.Producers, r.Chunk)
 	fmt.Fprintf(w, "events:  %d in %.1fms  (%.0f events/s)\n",
@@ -1488,8 +749,8 @@ func printText(w io.Writer, r jsonReport) {
 					verdict = "SLA broken (cut off at deadline)"
 				}
 			}
-			fmt.Fprintf(w, "  %4d tenants: %8.0f events/s  p%g=%.0fµs  %s\n",
-				s.Tenants, s.EventsPerSec, 100*rp.SLAPercentile, s.LatencyAtSLAUS, verdict)
+			fmt.Fprintf(w, "  %4d tenants: %8.0f events/s  p%g of n=%d: %.0fµs  %s\n",
+				s.Tenants, s.EventsPerSec, math.Round(1e4*s.SLAPercentileUsed)/100, s.Samples, s.LatencyAtSLAUS, verdict)
 		}
 		if rp.MaxTenantsUnderSLA > 0 {
 			fmt.Fprintf(w, "max sustainable under SLA: %d tenants at %.0f events/s\n",

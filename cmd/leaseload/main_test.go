@@ -3,30 +3,86 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestJSONReport runs a small verified load and checks the machine-
-// readable report is complete and self-consistent.
-func TestJSONReport(t *testing.T) {
+// runJSON runs leaseload with -json appended and decodes the report.
+func runJSON(t *testing.T, args ...string) jsonReport {
+	t.Helper()
 	var buf bytes.Buffer
-	err := run([]string{
-		"-tenants", "10", "-events", "60", "-shards", "4",
-		"-producers", "3", "-chunk", "7", "-verify", "-json",
-	}, &buf)
-	if err != nil {
+	if err := run(append(args, "-json"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("decode report: %v", err)
 	}
+	return rep
+}
+
+// sameCost compares engine-wide cost totals. That counter accumulates
+// in batch-processing order, which batching and concurrent producers
+// reorder, so two runs of one workload can differ by an ulp; the
+// per-tenant costs -verify checks against Replay are exact.
+func sameCost(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(a))
+}
+
+// leasedDir holds the leased binary the spawning tests share; TestMain
+// removes it.
+var (
+	leasedOnce sync.Once
+	leasedDir  string
+	leasedPath string
+	leasedErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if leasedDir != "" {
+		os.RemoveAll(leasedDir)
+	}
+	os.Exit(code)
+}
+
+// leasedBinary builds cmd/leased once per test binary, skipping where
+// the kill drills cannot run.
+func leasedBinary(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("kill drills build and spawn the daemon")
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("kill drills rely on SIGKILL/SIGTERM")
+	}
+	leasedOnce.Do(func() {
+		if leasedDir, leasedErr = os.MkdirTemp("", "leaseload-test-*"); leasedErr != nil {
+			return
+		}
+		leasedPath = filepath.Join(leasedDir, "leased")
+		if out, err := exec.Command("go", "build", "-o", leasedPath, "../leased").CombinedOutput(); err != nil {
+			leasedErr = fmt.Errorf("build leased: %v\n%s", err, out)
+		}
+	})
+	if leasedErr != nil {
+		t.Fatal(leasedErr)
+	}
+	return leasedPath
+}
+
+// TestJSONReport runs a small verified load and checks the machine-
+// readable report is complete and self-consistent.
+func TestJSONReport(t *testing.T) {
+	rep := runJSON(t, "-tenants", "10", "-events", "60", "-shards", "4",
+		"-producers", "3", "-chunk", "7", "-verify")
 	if rep.Tool != "leaseload" {
 		t.Errorf("tool = %q", rep.Tool)
 	}
@@ -73,121 +129,146 @@ func TestTextReport(t *testing.T) {
 }
 
 // TestDeterministicWorkload asserts the synthesized traffic is a pure
-// function of the seed: two runs report identical totals and costs.
+// function of the seed: two runs report identical totals, verify every
+// tenant against Replay, and reach the same cost.
 func TestDeterministicWorkload(t *testing.T) {
-	report := func() jsonReport {
-		var buf bytes.Buffer
-		if err := run([]string{"-tenants", "8", "-events", "50", "-json"}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		var rep jsonReport
-		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := report(), report()
+	args := []string{"-tenants", "8", "-events", "50", "-verify"}
+	a, b := runJSON(t, args...), runJSON(t, args...)
 	if a.TotalEvents != b.TotalEvents {
 		t.Errorf("event totals differ: %d vs %d", a.TotalEvents, b.TotalEvents)
 	}
-	if a.Engine.Cost != b.Engine.Cost {
+	if a.Verified == nil || !*a.Verified || b.Verified == nil || !*b.Verified {
+		t.Error("runs were not verified against Replay")
+	}
+	if !sameCost(a.Engine.Cost, b.Engine.Cost) {
 		t.Errorf("costs differ: %v vs %v", a.Engine.Cost, b.Engine.Cost)
 	}
 }
 
+// TestBadFlags: bad values and every axis combination that cannot run
+// are rejected up front, before any work.
 func TestBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-tenants", "0"}, &buf); err == nil {
-		t.Error("tenants=0 accepted")
-	}
-	if err := run([]string{"-nope"}, &buf); err == nil {
-		t.Error("unknown flag accepted")
-	}
-	if err := run([]string{"-addr", "http://127.0.0.1:1"}, &buf); err == nil {
-		t.Error("-addr without -remote accepted")
-	}
-	if err := run([]string{"-crash"}, &buf); err == nil {
-		t.Error("-crash without -leased accepted")
-	}
-	if err := run([]string{"-leased", "/tmp/leased"}, &buf); err == nil {
-		t.Error("-leased without -crash accepted")
-	}
-	if err := run([]string{"-data-dir", "/tmp/x"}, &buf); err == nil {
-		t.Error("-data-dir without -crash accepted")
-	}
-	if err := run([]string{"-crash", "-leased", "/tmp/leased", "-remote"}, &buf); err == nil {
-		t.Error("-crash combined with -remote accepted")
-	}
-	if err := run([]string{"-durable-bench", "-remote"}, &buf); err == nil {
-		t.Error("-durable-bench combined with -remote accepted")
+	for name, args := range map[string][]string{
+		"zero tenants":          {"-tenants", "0"},
+		"unknown flag":          {"-nope"},
+		"negative nodes":        {"-nodes", "-1"},
+		"unknown wal":           {"-wal", "sometimes"},
+		"-addr with -nodes 2":   {"-addr", "http://127.0.0.1:1", "-nodes", "2", "-wal", "nosync"},
+		"-addr with -leased":    {"-addr", "http://127.0.0.1:1", "-leased", "/tmp/leased"},
+		"-addr with -shards":    {"-addr", "http://127.0.0.1:1", "-shards", "2"},
+		"-addr with -wal":       {"-addr", "http://127.0.0.1:1", "-wal", "fsync"},
+		"-leased on the engine": {"-leased", "/tmp/leased"},
+		"cluster without a wal": {"-nodes", "2"},
+		"-binary on the engine": {"-binary"},
+		"-kill without -leased": {"-kill", "-nodes", "1", "-wal", "fsync"},
+		"-kill without a wal":   {"-kill", "-leased", "/tmp/leased", "-nodes", "1"},
+		"unknown domain":        {"-domains", "days,tennis"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
-// TestDurableBenchReport runs the fsync on/off pair on a small workload
-// and checks the combined report: both halves complete, process every
-// event, and are verified against Replay.
+// TestRampBadFlags: stepped runs (-step-tenants below -tenants), their
+// SLA flags, the perf gate and the traffic-shape values reject what
+// cannot run, before any work.
+func TestRampBadFlags(t *testing.T) {
+	for name, args := range map[string][]string{
+		"-kill while stepping":          {"-kill", "-leased", "/tmp/leased", "-nodes", "1", "-wal", "fsync", "-step-tenants", "4"},
+		"stepping -addr":                {"-addr", "http://127.0.0.1:1", "-step-tenants", "4"},
+		"-verify with a step deadline":  {"-step-tenants", "4", "-step-duration", "1s", "-verify"},
+		"-sla-p99 without stepping":     {"-sla-p99", "3"},
+		"-step-duration without steps":  {"-step-duration", "1s"},
+		"-sla-percentile without steps": {"-sla-percentile", "0.9", "-step-tenants", "64"},
+		"-gate-tolerance without -gate": {"-gate-tolerance", "0.2"},
+		"zero sla":                      {"-step-tenants", "4", "-sla-p99", "0"},
+		"bad percentile":                {"-step-tenants", "4", "-sla-percentile", "1.5"},
+		"negative step":                 {"-step-tenants", "-1"},
+		"negative zipf":                 {"-zipf-sizes", "-1"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestModeLabels: the report mode names the axes, and the configurations
+// the committed snapshots were measured with keep their labels.
+func TestModeLabels(t *testing.T) {
+	for want, c := range map[string]config{
+		"engine":                 {tenants: 64},
+		"ramp":                   {tenants: 64, stepTenants: 16},
+		"remote":                 {tenants: 64, nodes: 1},
+		"wal-fsync":              {tenants: 64, wal: "fsync"},
+		"cluster4-wal-nosync":    {tenants: 64, nodes: 4, wal: "nosync"},
+		"remote-wal-nosync-ramp": {tenants: 64, nodes: 1, wal: "nosync", stepTenants: 8},
+		"leased3-wal-fsync-kill": {tenants: 64, nodes: 3, wal: "fsync", leased: "leased", kill: true},
+	} {
+		if c.wal == "" {
+			c.wal = "off"
+		}
+		if got := c.mode(); got != want {
+			t.Errorf("mode of %+v = %q, want %q", c, got, want)
+		}
+	}
+}
+
+// TestSLAQuantile pins the ten-beyond rule a step's SLA is checked at.
+func TestSLAQuantile(t *testing.T) {
+	for _, c := range []struct {
+		n       int64
+		q, want float64
+	}{
+		{4096, 0.99, 0.99},
+		{1000, 0.99, 0.99},
+		{125, 0.99, 0.92},
+		{20, 0.5, 0.5},
+		{11, 0.99, 1.0 / 11},
+		{10, 0.99, 1},
+		{0, 0.99, 1},
+	} {
+		if got := slaQuantile(c.n, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("slaQuantile(%d, %g) = %g, want %g", c.n, c.q, got, c.want)
+		}
+	}
+}
+
+// TestDurableBenchReport runs the BENCH_PR5.json pair — the same
+// workload through a WAL-backed engine with fsync off, then on — on a
+// small workload: both runs process every event, verify against
+// Replay, and reach the same outcome.
 func TestDurableBenchReport(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-durable-bench", "-tenants", "8", "-events", "50",
-		"-shards", "4", "-producers", "2", "-verify",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep durableReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("decode report: %v", err)
-	}
-	if rep.Mode != "durable-bench" {
-		t.Errorf("mode = %q", rep.Mode)
-	}
-	for name, half := range map[string]jsonReport{"fsync_off": rep.FsyncOff, "fsync_on": rep.FsyncOn} {
-		if half.Engine.Events != rep.TotalEvents {
-			t.Errorf("%s: processed %d of %d events", name, half.Engine.Events, rep.TotalEvents)
+	reps := map[string]jsonReport{}
+	for _, wal := range []string{"nosync", "fsync"} {
+		rep := runJSON(t, "-wal", wal, "-tenants", "8", "-events", "50",
+			"-shards", "4", "-producers", "2", "-verify")
+		if rep.Mode != "wal-"+wal || rep.WAL != wal {
+			t.Errorf("-wal %s: mode %q, wal %q", wal, rep.Mode, rep.WAL)
 		}
-		if half.Verified == nil || !*half.Verified {
-			t.Errorf("%s: not verified against Replay", name)
+		if rep.Engine.Events != rep.TotalEvents {
+			t.Errorf("-wal %s: processed %d of %d events", wal, rep.Engine.Events, rep.TotalEvents)
 		}
+		if rep.Verified == nil || !*rep.Verified {
+			t.Errorf("-wal %s: not verified against Replay", wal)
+		}
+		reps[wal] = rep
 	}
-	// Per-tenant results are byte-identical (both halves verified against
-	// Replay above), but the engine-wide cost counter accumulates in
-	// batch-processing order, so concurrent producers can reorder the
-	// float additions by an ulp between the two runs.
-	off, on := rep.FsyncOff.Engine.Cost, rep.FsyncOn.Engine.Cost
-	if math.Abs(off-on) > 1e-9*math.Max(1, math.Abs(off)) {
+	if off, on := reps["nosync"].Engine.Cost, reps["fsync"].Engine.Cost; !sameCost(off, on) {
 		t.Errorf("fsync changed the workload outcome: %v vs %v", off, on)
 	}
 }
 
-// TestCrashRecovery runs the real kill-and-recover drill: build the
-// daemon, SIGKILL it mid-load, restart it on the same data dir, resume
-// every tenant from its recovered count, and verify byte-identity with
-// Replay of each tenant's full logged history.
+// TestCrashRecovery runs the real kill-and-recover drill: spawn a
+// durable daemon, SIGKILL it mid-load, restart it on the same data dir,
+// resume every tenant from its recovered count, and verify
+// byte-identity with Replay of each tenant's full logged history.
 func TestCrashRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash drill builds and spawns the daemon")
-	}
-	if runtime.GOOS == "windows" {
-		t.Skip("drill relies on SIGKILL/SIGTERM")
-	}
-	bin := filepath.Join(t.TempDir(), "leased")
-	if out, err := exec.Command("go", "build", "-o", bin, "../leased").CombinedOutput(); err != nil {
-		t.Fatalf("build leased: %v\n%s", err, out)
-	}
-	var buf bytes.Buffer
-	err := run([]string{
-		"-crash", "-leased", bin, "-tenants", "8", "-events", "60",
-		"-shards", "4", "-producers", "2", "-json",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("decode report: %v", err)
-	}
-	if rep.Mode != "crash" {
+	rep := runJSON(t, "-leased", leasedBinary(t), "-nodes", "1", "-wal", "fsync", "-kill",
+		"-tenants", "8", "-events", "60", "-shards", "4", "-producers", "2")
+	if rep.Mode != "leased1-wal-fsync-kill" {
 		t.Errorf("mode = %q", rep.Mode)
 	}
 	if rep.Verified == nil || !*rep.Verified {
@@ -198,23 +279,69 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestClusterKill runs the multi-node drill: three peered daemons, the
+// busiest SIGKILLed mid-load, its tenants failed over to their replicas,
+// every tenant resumed and verified against Replay, and the survivors
+// drained cleanly.
+func TestClusterKill(t *testing.T) {
+	rep := runJSON(t, "-leased", leasedBinary(t), "-nodes", "3", "-wal", "fsync", "-kill",
+		"-tenants", "12", "-events", "60", "-shards", "2", "-producers", "2")
+	if rep.Mode != "leased3-wal-fsync-kill" || rep.Nodes != 3 {
+		t.Errorf("mode = %q, nodes = %d", rep.Mode, rep.Nodes)
+	}
+	if rep.Verified == nil || !*rep.Verified {
+		t.Error("failed-over run was not verified against Replay")
+	}
+}
+
+// TestInProcessCluster drives a replicated two-node loopback fleet
+// through the cluster client and verifies every tenant; draining
+// fails if a shipper gave up on its peer.
+func TestInProcessCluster(t *testing.T) {
+	rep := runJSON(t, "-nodes", "2", "-wal", "nosync", "-verify",
+		"-tenants", "10", "-events", "50", "-shards", "2", "-producers", "2")
+	if rep.Mode != "cluster2-wal-nosync" {
+		t.Errorf("mode = %q", rep.Mode)
+	}
+	if rep.Verified == nil || !*rep.Verified {
+		t.Error("cluster run was not verified against Replay")
+	}
+	if rep.Engine.Events != rep.TotalEvents || rep.Engine.Sessions != rep.Tenants {
+		t.Errorf("fleet served %d events over %d sessions, want %d over %d",
+			rep.Engine.Events, rep.Engine.Sessions, rep.TotalEvents, rep.Tenants)
+	}
+	if len(rep.Engine.Shards) != 4 {
+		t.Errorf("shard samples = %d, want 2 nodes x 2", len(rep.Engine.Shards))
+	}
+}
+
+// TestSteppedRemote ramps over a loopback daemon: every step gets a
+// fresh one, and with verification every step's tenants check out.
+func TestSteppedRemote(t *testing.T) {
+	rep := runJSON(t, "-nodes", "1", "-tenants", "8", "-events", "40",
+		"-step-tenants", "4", "-sla-p99", "10000", "-verify")
+	if rep.Mode != "remote-ramp" || rep.Ramp == nil {
+		t.Fatalf("mode = %q, ramp = %v", rep.Mode, rep.Ramp)
+	}
+	if got := len(rep.Ramp.Steps); got != 2 {
+		t.Errorf("steps = %d, want 2", got)
+	}
+	if rep.Ramp.MaxTenantsUnderSLA != 8 || rep.EventsPerSec != rep.Ramp.MaxEventsPerSecUnderSLA {
+		t.Errorf("knee = %d tenants at %v, headline %v", rep.Ramp.MaxTenantsUnderSLA,
+			rep.Ramp.MaxEventsPerSecUnderSLA, rep.EventsPerSec)
+	}
+	if rep.Verified == nil || !*rep.Verified {
+		t.Error("stepped run was not verified against Replay")
+	}
+}
+
 // TestRemoteVerified drives the whole remote path end to end: an
 // in-process loopback daemon, sessions opened from wire specs, events
 // submitted over HTTP, and every tenant's result verified byte-identical
 // against a single-threaded Replay of a spec-built leaser.
 func TestRemoteVerified(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-remote", "-tenants", "10", "-events", "60", "-shards", "4",
-		"-producers", "3", "-chunk", "9", "-verify", "-json",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("decode report: %v", err)
-	}
+	rep := runJSON(t, "-nodes", "1", "-tenants", "10", "-events", "60", "-shards", "4",
+		"-producers", "3", "-chunk", "9", "-verify")
 	if rep.Mode != "remote" {
 		t.Errorf("mode = %q, want remote", rep.Mode)
 	}
@@ -231,29 +358,20 @@ func TestRemoteVerified(t *testing.T) {
 
 // TestRemoteMatchesEngineMode asserts the HTTP boundary changes nothing
 // about the workload's outcome: a remote run and an in-process run of
-// the same seed report identical event totals and identical engine-side
-// cumulative cost.
+// the same seed verify every tenant byte-identical to Replay and report
+// identical event totals and the same engine-side cumulative cost.
 func TestRemoteMatchesEngineMode(t *testing.T) {
-	report := func(remote bool) jsonReport {
-		args := []string{"-tenants", "8", "-events", "50", "-json"}
-		if remote {
-			args = append(args, "-remote")
+	args := []string{"-tenants", "8", "-events", "50", "-verify"}
+	local, remote := runJSON(t, args...), runJSON(t, append(args, "-nodes", "1")...)
+	for name, rep := range map[string]jsonReport{"engine": local, "remote": remote} {
+		if rep.Verified == nil || !*rep.Verified {
+			t.Errorf("%s run was not verified against Replay", name)
 		}
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		var rep jsonReport
-		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
 	}
-	local, remote := report(false), report(true)
 	if local.TotalEvents != remote.TotalEvents {
 		t.Errorf("event totals differ: engine %d vs remote %d", local.TotalEvents, remote.TotalEvents)
 	}
-	if local.Engine.Cost != remote.Engine.Cost {
+	if !sameCost(local.Engine.Cost, remote.Engine.Cost) {
 		t.Errorf("costs differ: engine %v vs remote %v", local.Engine.Cost, remote.Engine.Cost)
 	}
 }
@@ -262,18 +380,8 @@ func TestRemoteMatchesEngineMode(t *testing.T) {
 // step passes, and checks the ramp section is complete and the knee is
 // mirrored into the report's top-level throughput figure.
 func TestRampReport(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-ramp", "-tenants", "12", "-events", "40", "-step-tenants", "4",
-		"-step-duration", "10s", "-sla-p99", "10000", "-json",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("decode report: %v", err)
-	}
+	rep := runJSON(t, "-tenants", "12", "-events", "40", "-step-tenants", "4",
+		"-step-duration", "10s", "-sla-p99", "10000")
 	if rep.Mode != "ramp" {
 		t.Errorf("mode = %q, want ramp", rep.Mode)
 	}
@@ -293,6 +401,9 @@ func TestRampReport(t *testing.T) {
 		if s.SubmittedEvents <= 0 || s.EventsPerSec <= 0 {
 			t.Errorf("step %d has no throughput: %+v", i, s)
 		}
+		if s.Samples <= 0 || s.SLAPercentileUsed != slaQuantile(s.Samples, 0.99) {
+			t.Errorf("step %d checked its SLA at p%g of n=%d", i, 100*s.SLAPercentileUsed, s.Samples)
+		}
 	}
 	if rep.Ramp.MaxTenantsUnderSLA != 12 {
 		t.Errorf("knee = %d tenants, want 12", rep.Ramp.MaxTenantsUnderSLA)
@@ -307,16 +418,17 @@ func TestRampReport(t *testing.T) {
 	}
 }
 
-// TestRampFirstStepBreaks: an impossible SLA means no sustainable step,
-// and the text report says so instead of inventing a knee.
+// TestRampFirstStepBreaks: an impossible SLA means no sustainable step.
+// The text report says so instead of inventing a knee, and the run
+// fails naming the first step's latency and sample count.
 func TestRampFirstStepBreaks(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
-		"-ramp", "-tenants", "4", "-events", "30", "-step-tenants", "4",
+		"-tenants", "4", "-events", "30", "-step-tenants", "2",
 		"-sla-p99", "0.0001",
 	}, &buf)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "samples") || !strings.Contains(err.Error(), "µs") {
+		t.Errorf("err = %v, want the first step's latency and sample count", err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "none — the first step already broke the SLA") {
@@ -328,27 +440,12 @@ func TestRampFirstStepBreaks(t *testing.T) {
 // functions of the seed, and unknown names are rejected up front.
 func TestArrivalDeterminism(t *testing.T) {
 	for _, name := range []string{"diurnal", "bursty"} {
-		report := func() jsonReport {
-			var buf bytes.Buffer
-			args := []string{"-tenants", "8", "-events", "50", "-arrival", name, "-json"}
-			if err := run(args, &buf); err != nil {
-				t.Fatal(err)
-			}
-			var rep jsonReport
-			if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-				t.Fatal(err)
-			}
-			return rep
-		}
-		a, b := report(), report()
+		args := []string{"-tenants", "8", "-events", "50", "-arrival", name}
+		a, b := runJSON(t, args...), runJSON(t, args...)
 		if a.TotalEvents <= 0 {
 			t.Errorf("%s: no events submitted", name)
 		}
-		// Engine-wide cost is compared with an ulp-scale tolerance: the
-		// counter accumulates in batch-processing order, which concurrent
-		// producers reorder between runs (per-tenant costs are exact).
-		if a.TotalEvents != b.TotalEvents ||
-			math.Abs(a.Engine.Cost-b.Engine.Cost) > 1e-9*math.Max(1, math.Abs(a.Engine.Cost)) {
+		if a.TotalEvents != b.TotalEvents || !sameCost(a.Engine.Cost, b.Engine.Cost) {
 			t.Errorf("%s: runs differ: %d/%v vs %d/%v",
 				name, a.TotalEvents, a.Engine.Cost, b.TotalEvents, b.Engine.Cost)
 		}
@@ -362,18 +459,8 @@ func TestArrivalDeterminism(t *testing.T) {
 // TestZipfSizesFlag: skewed per-tenant volumes stay deterministic and
 // reshape the load without dropping it.
 func TestZipfSizesFlag(t *testing.T) {
-	report := func() jsonReport {
-		var buf bytes.Buffer
-		if err := run([]string{"-tenants", "8", "-events", "50", "-zipf-sizes", "1.2", "-json", "-verify"}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		var rep jsonReport
-		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := report(), report()
+	args := []string{"-tenants", "8", "-events", "50", "-zipf-sizes", "1.2", "-verify"}
+	a, b := runJSON(t, args...), runJSON(t, args...)
 	if a.TotalEvents <= 0 || a.TotalEvents != b.TotalEvents {
 		t.Errorf("zipf runs not deterministic: %d vs %d", a.TotalEvents, b.TotalEvents)
 	}
@@ -423,27 +510,5 @@ func TestGateFlag(t *testing.T) {
 	err = run(append(args, "-gate", bad, "-gate-tolerance", "0.15"), &buf)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Errorf("gate against inflated baseline: err = %v, want regression", err)
-	}
-}
-
-// TestRampBadFlags: the ramp and gate flags reject inconsistent
-// combinations up front.
-func TestRampBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	for name, args := range map[string][]string{
-		"-ramp with -remote":            {"-ramp", "-remote"},
-		"-ramp with -durable-bench":     {"-ramp", "-durable-bench"},
-		"-ramp with -verify":            {"-ramp", "-verify"},
-		"-sla-p99 without -ramp":        {"-sla-p99", "3"},
-		"-step-tenants without -ramp":   {"-step-tenants", "4"},
-		"-gate-tolerance without -gate": {"-gate-tolerance", "0.2"},
-		"zero sla":                      {"-ramp", "-sla-p99", "0"},
-		"bad percentile":                {"-ramp", "-sla-percentile", "1.5"},
-		"zero step":                     {"-ramp", "-step-tenants", "0"},
-		"negative zipf":                 {"-zipf-sizes", "-1"},
-	} {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("%s accepted", name)
-		}
 	}
 }

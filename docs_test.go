@@ -57,9 +57,9 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 		"Leaser", "Replay", "Interleave", "Engine", "Serve", "Dial",
 		"OpenDurableLog", "RecoverEngine",
 		"-json", "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR5.json",
-		"BENCH_PR6.json", "-ramp", "-gate", "Prometheus",
+		"BENCH_PR6.json", "-step-tenants", "-gate", "Prometheus",
 		"docs/CLUSTER.md", "BENCH_PR8.json", "DialCluster", "-peers",
-		"failover",
+		"failover", "-nodes", "-wal", "-kill", "-leased", "BENCH_PR14.json",
 	} {
 		if !strings.Contains(readme, want) {
 			t.Errorf("README.md missing %q", want)
@@ -165,7 +165,9 @@ func TestReadmeFlagsExist(t *testing.T) {
 	if len(mains) == 0 {
 		t.Fatal("no cmd mains found")
 	}
-	def := regexp.MustCompile(`fs\.[A-Za-z0-9]+\("([a-z][a-z0-9-]*)"`)
+	// Both definition forms count: fs.Int("name", ...) and
+	// fs.IntVar(&target, "name", ...).
+	def := regexp.MustCompile(`fs\.[A-Za-z0-9]+\((?:&[A-Za-z0-9_.]+, )?"([a-z][a-z0-9-]*)"`)
 	for _, m := range mains {
 		for _, g := range def.FindAllStringSubmatch(readDoc(t, m), -1) {
 			defined[g[1]] = true
@@ -229,7 +231,7 @@ func TestOperationsDocLinked(t *testing.T) {
 		"SIGTERM", "429", "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR5.json",
 		"BENCH_PR6.json", "BENCH_PR7.json", "/v1/metrics", "/v1/healthz", "API.md",
 		"ARCHITECTURE.md", "DURABILITY.md", "Backup", "compact",
-		"Capacity planning", "-ramp", "-sla-p99", "-step-tenants",
+		"Capacity planning", "-sla-p99", "-sla-percentile", "-step-tenants",
 		"-step-duration", "-gate", "-gate-tolerance", "-arrival",
 		"-zipf-sizes", "promtool", "format=prometheus",
 		"Binary framing", "application/x-lease-binary", "-binary",
@@ -237,8 +239,8 @@ func TestOperationsDocLinked(t *testing.T) {
 		"leased_engine_events_total", "leased_wal_appends_total",
 		"leased_http_requests_total",
 		"-peers", "-self", "-peer-token", "BENCH_PR8.json", "CLUSTER.md",
-		"leased_shipper_failed_peers", "-cluster", "-nodes",
-		"-cluster-bench",
+		"leased_shipper_failed_peers", "-nodes", "-wal", "-kill",
+		"-leased", "BENCH_PR14.json",
 	} {
 		if !strings.Contains(ops, want) {
 			t.Errorf("docs/OPERATIONS.md does not mention %q", want)
@@ -303,7 +305,7 @@ func TestClusterDocLinked(t *testing.T) {
 		"307", "replica", "follower", "byte-identical", "prefix",
 		"sticky-fail", "MarkDown", "SubmitResume", "BENCH_PR8.json",
 		"OPERATIONS.md", "ARCHITECTURE.md", "DURABILITY.md",
-		"-crash -cluster", "Scaling",
+		"-nodes 3 -wal fsync -kill", "Scaling",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("docs/CLUSTER.md does not mention %q", want)

@@ -1,11 +1,12 @@
 // Package benchgate is the perf-regression gate behind the -gate flag
 // of cmd/leaseload and cmd/leasebench: it extracts the headline figure
-// from any committed BENCH_PR*.json snapshot (detecting which schema it
-// is from its tool and mode fields), compares a freshly measured report
-// against it, and fails when the measurement is worse than the snapshot
-// by more than the configured tolerance. Improvements never fail, and a
-// report can only be gated against a snapshot of the same tool and mode
-// — a ramp run cannot quietly "pass" against an engine-mode baseline.
+// from any committed BENCH_PR*.json snapshot, compares a freshly
+// measured report against it, and fails when the measurement is worse
+// than the snapshot by more than the configured tolerance. Improvements
+// never fail, and a report can only be gated against a snapshot of the
+// same tool and mode. A leaseload mode is a label derived from the run's
+// target, WAL and stepping axes, so a stepped in-process run cannot
+// quietly "pass" against a one-step or a remote baseline.
 package benchgate
 
 import (
@@ -30,9 +31,12 @@ type Metric struct {
 // FromReport extracts the headline metric from a serialized report:
 //
 //	leasebench (any mode)       -> total_ms, lower is better
-//	leaseload engine/remote     -> events_per_sec, higher is better
 //	leaseload durable-bench     -> fsync_off.events_per_sec, higher is better
-//	leaseload ramp              -> ramp.max_events_per_sec_under_sla, higher is better
+//	leaseload (any other mode)  -> events_per_sec, higher is better
+//
+// A stepped leaseload run mirrors its knee into events_per_sec. The
+// durable-bench case reads only the committed BENCH_PR5.json, the one
+// report that combines two runs.
 func FromReport(raw []byte) (Metric, error) {
 	var doc struct {
 		Tool         string  `json:"tool"`
@@ -42,9 +46,6 @@ func FromReport(raw []byte) (Metric, error) {
 		FsyncOff     *struct {
 			EventsPerSec float64 `json:"events_per_sec"`
 		} `json:"fsync_off"`
-		Ramp *struct {
-			MaxEventsPerSec float64 `json:"max_events_per_sec_under_sla"`
-		} `json:"ramp"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return Metric{}, fmt.Errorf("benchgate: parse report: %w", err)
@@ -58,11 +59,6 @@ func FromReport(raw []byte) (Metric, error) {
 			return Metric{}, fmt.Errorf("benchgate: durable-bench report has no fsync_off section")
 		}
 		m.Name, m.Value, m.HigherBetter = "fsync_off.events_per_sec", doc.FsyncOff.EventsPerSec, true
-	case doc.Tool == "leaseload" && doc.Mode == "ramp":
-		if doc.Ramp == nil {
-			return Metric{}, fmt.Errorf("benchgate: ramp report has no ramp section")
-		}
-		m.Name, m.Value, m.HigherBetter = "ramp.max_events_per_sec_under_sla", doc.Ramp.MaxEventsPerSec, true
 	case doc.Tool == "leaseload":
 		m.Name, m.Value, m.HigherBetter = "events_per_sec", doc.EventsPerSec, true
 	default:

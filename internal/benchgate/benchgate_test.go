@@ -37,9 +37,15 @@ func TestFromReportSchemas(t *testing.T) {
 			wantName: "fsync_off.events_per_sec", wantValue: 7000, wantHigher: true,
 		},
 		{
+			// A stepped run mirrors its knee to the top level.
 			name:     "ramp",
-			raw:      `{"tool":"leaseload","mode":"ramp","events_per_sec":5000,"ramp":{"max_events_per_sec_under_sla":4800}}`,
-			wantName: "ramp.max_events_per_sec_under_sla", wantValue: 4800, wantHigher: true,
+			raw:      `{"tool":"leaseload","mode":"ramp","events_per_sec":4800,"ramp":{"max_events_per_sec_under_sla":4800}}`,
+			wantName: "events_per_sec", wantValue: 4800, wantHigher: true,
+		},
+		{
+			name:     "leaseload cluster",
+			raw:      `{"tool":"leaseload","mode":"cluster4-wal-nosync","nodes":4,"wal":"nosync","events_per_sec":10500}`,
+			wantName: "events_per_sec", wantValue: 10500, wantHigher: true,
 		},
 		{
 			// BENCH_PR8.json: the top-level figure is the largest fleet's
@@ -64,10 +70,11 @@ func TestFromReportSchemas(t *testing.T) {
 
 func TestFromReportRejects(t *testing.T) {
 	for name, raw := range map[string]string{
-		"unknown tool":      `{"tool":"x","mode":"y"}`,
-		"missing figure":    `{"tool":"leaseload","mode":"engine"}`,
-		"ramp without ramp": `{"tool":"leaseload","mode":"ramp","events_per_sec":5}`,
-		"not json":          `events/s: lots`,
+		"unknown tool":              `{"tool":"x","mode":"y"}`,
+		"missing figure":            `{"tool":"leaseload","mode":"engine"}`,
+		"ramp without knee":         `{"tool":"leaseload","mode":"ramp","events_per_sec":0,"ramp":{"max_events_per_sec_under_sla":0}}`,
+		"durable without fsync_off": `{"tool":"leaseload","mode":"durable-bench","events_per_sec":5}`,
+		"not json":                  `events/s: lots`,
 	} {
 		if _, err := FromReport([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -78,7 +85,7 @@ func TestFromReportRejects(t *testing.T) {
 // TestCheck covers both orientations, the tolerance boundary, and the
 // mode-mismatch guard.
 func TestCheck(t *testing.T) {
-	ref := Metric{Tool: "leaseload", Mode: "ramp", Name: "ramp.max_events_per_sec_under_sla", Value: 1000, HigherBetter: true}
+	ref := Metric{Tool: "leaseload", Mode: "ramp", Name: "events_per_sec", Value: 1000, HigherBetter: true}
 	meas := func(v float64) Metric { m := ref; m.Value = v; return m }
 
 	if err := Check(meas(1000), ref, 0.15); err != nil {
@@ -106,10 +113,14 @@ func TestCheck(t *testing.T) {
 		t.Errorf("lower-better improvement failed: %v", err)
 	}
 
-	other := ref
-	other.Mode = "engine"
-	if err := Check(other, ref, 0.15); err == nil {
-		t.Error("mode mismatch accepted")
+	// Modes name a run's target, WAL and stepping axes: a change in any
+	// of them is a different measurement.
+	for _, mode := range []string{"engine", "remote-ramp", "wal-nosync-ramp"} {
+		other := ref
+		other.Mode = mode
+		if err := Check(other, ref, 0.15); err == nil {
+			t.Errorf("mode %s gated against %s", mode, ref.Mode)
+		}
 	}
 	if err := Check(meas(1000), ref, 0); err == nil {
 		t.Error("zero tolerance accepted")

@@ -13,8 +13,8 @@ import (
 	"os"
 )
 
-// ScalingFleet is one cluster size's measurement inside a committed
-// BENCH_PR8.json (`leaseload -cluster-bench`).
+// ScalingFleet is one cluster size's measurement inside the committed
+// BENCH_PR8.json; `leaseload -nodes N -wal nosync` reproduces each.
 type ScalingFleet struct {
 	Nodes           int     `json:"nodes"`
 	EventsPerSec    float64 `json:"events_per_sec"`
@@ -175,7 +175,8 @@ node does not flood its peers with history they already hold.
    where from. The cluster client's ` + "`SubmitResume`" + ` does this loop —
    resync, resume, never re-send what the new owner holds, never skip
    what it lost.
-4. **Verify.** ` + "`go run ./cmd/leaseload -crash -cluster -leased <binary>`" + `
+4. **Verify.**
+   ` + "`go run ./cmd/leaseload -leased <binary> -nodes 3 -wal fsync -kill`" + `
    runs the whole drill: spawn a fleet, SIGKILL the busiest node
    mid-load, fail over, resume, and byte-compare every tenant against
    a single-threaded replay of its full history.
@@ -184,10 +185,10 @@ node does not flood its peers with history they already hold.
 
 `)
 	if bench != nil {
-		fmt.Fprintf(&b, `The committed [BENCH_PR8.json](../BENCH_PR8.json)
-(`+"`leaseload -cluster-bench`"+`, %d mixed-domain tenants, %d events,
-every node durable and shipping) measures ingestion throughput against
-cluster size on the baseline hardware:
+		fmt.Fprintf(&b, `The committed [BENCH_PR8.json](../BENCH_PR8.json) (%d mixed-domain
+tenants, %d events, every node durable and shipping; each row is
+reproduced by `+"`leaseload -nodes N -wal nosync`"+`) measures ingestion
+throughput against cluster size on the baseline hardware:
 
 | Nodes | Throughput | Speedup | Shipped records |
 | --- | --- | --- | --- |
@@ -210,9 +211,9 @@ fleet buys capacity only when nodes stop sharing spindles and cores.
 `, bench.ScalingEfficiency)
 	} else {
 		b.WriteString(`No committed BENCH_PR8.json was found next to this document, so the
-scaling trade-off is not quantified here; regenerate it with
-` + "`go run ./cmd/leaseload -cluster-bench -out BENCH_PR8.json`" + ` and then
-regenerate this document.
+scaling trade-off is not quantified here; restore it from version
+control (` + "`go run ./cmd/leaseload -nodes N -wal nosync -json`" + ` measures
+one of its fleets) and then regenerate this document.
 `)
 	}
 	return b.Bytes()

@@ -64,7 +64,7 @@ code is stdlib-only Go and deterministic per seed.
   rebuilds every session from spec + logged history (byte-identical to
   a Replay), torn tails are truncated rather than replayed, and
   snapshot compaction reclaims closed sessions. docs/DURABILITY.md is
-  generated from it; ` + "`leaseload -crash`" + ` drills kill-and-recover.
+  generated from it; ` + "`leaseload -kill`" + ` drills kill-and-recover.
 - **Algorithms** (` + "`internal/parking`, `internal/setcover`," + `
   ` + "`internal/facility`, `internal/deadline`, `internal/steiner`," + `
   ` + "`internal/coverext`" + `): online algorithms, offline optima and
@@ -83,9 +83,10 @@ code is stdlib-only Go and deterministic per seed.
   (plus ` + "`-json`" + ` benchmark reports), regenerate these docs and
   docs/API.md (` + "`leasereport -check`" + ` gates drift), replay traces through
   the unified API, generate traces, load-test the serving stack
-  (in-process or, with ` + "`-remote`" + `, over HTTP; throughput + latency
-  percentiles, committed as BENCH_PR3.json / BENCH_PR4.json), and run
-  the network-facing lease daemon (see docs/OPERATIONS.md).
+  (in-process or, with ` + "`-nodes`" + `, over HTTP, optionally durable and
+  replicated; throughput + latency percentiles, committed as
+  BENCH_PR3.json / BENCH_PR4.json), and run the network-facing lease
+  daemon (see docs/OPERATIONS.md).
 
 ## Experiment index
 

@@ -25,8 +25,9 @@ type FsyncBench struct {
 	} `json:"submit_latency_us"`
 }
 
-// BenchPair is the committed fsync-on/off throughput pair produced by
-// `leaseload -durable-bench` (BENCH_PR5.json).
+// BenchPair is the committed fsync-on/off throughput pair of
+// BENCH_PR5.json: the `leaseload -wal nosync` and `-wal fsync` runs of
+// one workload.
 type BenchPair struct {
 	On  FsyncBench `json:"fsync_on"`
 	Off FsyncBench `json:"fsync_off"`
@@ -67,8 +68,9 @@ time-ordered events (the event-sourced shape of the stream protocol),
 recovery never deserializes algorithm state — it rebuilds the algorithm
 from the spec and replays the history, and the recovered session is
 byte-identical to a single-threaded ` + "`Replay`" + ` of the logged events.
-` + "`cmd/leaseload -crash`" + ` proves that end to end by SIGKILLing a daemon
-mid-load, restarting it, finishing the run and verifying every tenant.
+` + "`leaseload -leased <binary> -nodes 1 -wal fsync -kill`" + ` proves that end
+to end by SIGKILLing a daemon mid-load, restarting it, finishing the run
+and verifying every tenant.
 
 This reference is generated from ` + "`internal/wal`" + ` by ` + "`cmd/leasereport`" + `
 (the ` + "`-check`" + ` gate keeps it byte-identical to the code). The operator
@@ -95,14 +97,14 @@ Every segment starts with a %d-byte header:
 | Offset | Size | Field |
 | --- | --- | --- |
 | 0 | 8 | magic %q |
-| 8 | 4 | format version (little-endian uint32; this build writes %d, reads %d and %d) |
+| 8 | 4 | format version (little-endian uint32; this build writes and reads %d) |
 | 12 | 4 | flags (little-endian uint32; bit 0 = compaction snapshot) |
 
-A reader rejects a bad magic or an unknown version outright — a future
-format bump is a clean error, never a misparse. Version %d is the
-JSON-era format (kinds 1–3 only); version %d added the binary events
-record (kind %d), and a mixed directory of version-%d and version-%d
-segments replays correctly in order. The snapshot flag marks
+A reader rejects a bad magic or any other version outright — a future
+format bump is a clean error, never a misparse. The version-1 format
+(JSON event records) predates the binary events record (kind %d) and is
+refused the same way: no build since version %d writes, compacts or
+ships it. The snapshot flag marks
 a segment written by compaction: it supersedes every lower-numbered
 segment, so recovery starts at the newest snapshot and deletes anything
 older.
@@ -113,19 +115,18 @@ Records follow the header back to back, each framed as:
 | --- | --- | --- |
 | 0 | 4 | body length (little-endian uint32, 1..%d) |
 | 4 | 4 | CRC-32C (Castagnoli) of the body |
-| 8 | length | body: 1 kind byte + the kind's payload (JSON for kinds 1–3, binary for kind 4) |
+| 8 | length | body: 1 kind byte + the kind's payload (JSON for kinds 1 and 3, binary for kind 4) |
 
 ## Record types
 
-The kind 1–3 payloads reuse the JSON encodings of `+"`internal/wire`"+` —
-the same single source of truth the HTTP protocol speaks — and the
-kind-4 payload reuses its binary event encoding (the
+The kind 1 and 3 payloads are JSON, with the open spec in the
+encoding of `+"`internal/wire`"+` — the same single source of truth the HTTP
+protocol speaks — and the kind-4 payload reuses its binary event encoding (the
 `+"`application/x-lease-binary`"+` frame payload, see docs/API.md), so the
 log, the wire and the recovery replay can never disagree about what an
 event is.
 
-`, SegHeaderSize, SegMagic, SegVersion, SegVersion, SegVersionJSON,
-		SegVersionJSON, SegVersion, KindEventsBinary, SegVersionJSON, SegVersion,
+`, SegHeaderSize, SegMagic, SegVersion, KindEventsBinary, SegVersion,
 		MaxRecordBytes)
 	for _, rec := range []struct {
 		kind byte
@@ -134,7 +135,6 @@ event is.
 		when string
 	}{
 		{KindOpen, "OpenRecord", OpenRecord{}, "appended by the owning shard as it installs the session — after the duplicate check (racing opens log only the winning spec) and before the session is visible to submits, so a tenant's open record always precedes its event records"},
-		{KindEvents, "EventsRecord", EventsRecord{}, "the JSON-era event batch: replayed from version-1 segments, no longer written (this build appends kind 4 instead)"},
 		{KindClose, "CloseRecord", CloseRecord{}, "appended before a session is sealed"},
 	} {
 		fmt.Fprintf(&b, "### kind %d — `%s`\n\n%s.\n\n| Field | Type | Description |\n| --- | --- | --- |\n", rec.kind, rec.name, rec.when)
@@ -149,8 +149,7 @@ event is.
 
 	fmt.Fprintf(&b, `### kind %d — binary events
 
-Appended before an acknowledged batch is enqueued — the same position
-in the protocol as the JSON-era kind %d, but the body is encoded
+Appended before an acknowledged batch is enqueued, the body encoded
 directly from the in-memory events with no JSON round-trip. The payload
 after the kind byte is:
 
@@ -161,11 +160,11 @@ after the kind byte is:
 | events | bytes | an `+"`application/x-lease-binary`"+` frame payload: uvarint event count, then the events in the wire binary event encoding (docs/API.md has the per-kind layout) |
 
 The event encoding is canonical — it round-trips byte-identically and
-decodes to exactly the values the JSON path would produce (float bits
-preserved, null vs empty client lists preserved) — so replaying a
-kind-%d record rebuilds the same session a kind-%d record would have.
+decodes to exactly the values the JSON wire encoding carries (float
+bits preserved, null vs empty client lists preserved) — so replaying a
+kind-%d record rebuilds exactly the session that was acknowledged.
 
-`, KindEventsBinary, KindEvents, KindEventsBinary, KindEvents)
+`, KindEventsBinary, KindEventsBinary)
 
 	b.WriteString(`## Recovery semantics
 
@@ -198,7 +197,7 @@ leave a suffix of records that were logged but never acknowledged (the
 response was lost with the process). Recovery replays them: after a
 restart, the authoritative resume point is the tenant's processed-event
 count (the ` + "`events`" + ` endpoint after a flush), not the client's last
-acknowledged offset — which is how ` + "`leaseload -crash`" + ` resumes.
+acknowledged offset — which is how ` + "`leaseload -kill`" + ` resumes.
 
 ## Torn writes and corruption
 
@@ -218,16 +217,16 @@ directory from backup instead).
 Compaction rewrites the whole log as one snapshot segment: per live
 tenant, an open record followed by its consolidated event history. The
 snapshot is written in the current segment version with binary event
-records, so the first compaction of a JSON-era directory migrates it.
-Closed sessions are dropped — **close is the retention boundary**, so a
-tenant's history is reclaimed by the first compaction after its close
-(and the tenant no longer survives recovery past that point). The
-rewrite is crash-safe: the snapshot is built in ` + "`compact.tmp`" + `, synced,
-renamed to the next segment index, and only then are the superseded
-segments deleted; a crash between rename and delete leaves both, and
-the snapshot flag tells recovery which to trust. Appends block for the
-duration of a compaction, so tune the cadence (` + "`leased -compact-every`" + `,
-in appended records) to how quickly closed-session garbage accumulates.
+records. Closed sessions are dropped — **close is the retention
+boundary**, so a tenant's history is reclaimed by the first compaction
+after its close (and the tenant no longer survives recovery past that
+point). The rewrite is crash-safe: the snapshot is built in
+` + "`compact.tmp`" + `, synced, renamed to the next segment index, and only
+then are the superseded segments deleted; a crash between rename and
+delete leaves both, and the snapshot flag tells recovery which to
+trust. Appends block for the duration of a compaction, so tune the
+cadence (` + "`leased -compact-every`" + `, in appended records) to how quickly
+closed-session garbage accumulates.
 
 ## Fsync and the durability/throughput trade-off
 
@@ -242,8 +241,8 @@ page-cache suffix.
 `)
 	if bench != nil {
 		fmt.Fprintf(&b, `The committed [BENCH_PR5.json](../BENCH_PR5.json)
-(`+"`leaseload -durable-bench`"+`, mixed-domain tenants through a
-WAL-backed engine) quantifies the trade-off on the baseline hardware:
+(`+"`leaseload -wal nosync`"+` and `+"`-wal fsync`"+`, mixed-domain tenants through
+a WAL-backed engine) quantifies the trade-off on the baseline hardware:
 
 | WAL mode | Throughput | Submit p50 | Submit p99 |
 | --- | --- | --- | --- |
@@ -255,8 +254,9 @@ WAL-backed engine) quantifies the trade-off on the baseline hardware:
 	} else {
 		b.WriteString(`No committed BENCH_PR5.json was found next to this document, so the
 trade-off is not quantified here; regenerate it with
-` + "`go run ./cmd/leaseload -durable-bench -out BENCH_PR5.json`" + ` and then
-regenerate this document.
+` + "`go run ./cmd/leaseload -wal nosync -json`" + ` and
+` + "`-wal fsync -json`" + `, combine the two reports as the ` + "`fsync_off`" + ` and
+` + "`fsync_on`" + ` halves of BENCH_PR5.json, and then regenerate this document.
 
 `)
 	}
@@ -268,7 +268,7 @@ regenerate this document.
    torn tail is truncated and logged, never replayed. Clients then
    ` + "`flush`" + `, read each tenant's processed-event count, and resume
    submitting after that offset (the Go client pattern
-   ` + "`leaseload -crash`" + ` uses).
+   ` + "`leaseload -kill`" + ` uses).
 2. **The log refuses to open (corruption before the tail).** Do not
    delete segments by hand — acknowledged data is gone either way, and
    the refusal tells you so. Restore the newest backup of the data
@@ -278,9 +278,10 @@ regenerate this document.
    so a file-by-file copy taken while the daemon is stopped is always
    consistent. Restore = put the directory back and start the daemon.
 4. **Verify a recovery.**
-   ` + "`go run ./cmd/leaseload -crash -leased <binary>`" + ` runs the whole
-   drill — kill mid-load, restart, resume, and byte-compare every
-   tenant against a local replay of its logged history.
+   ` + "`go run ./cmd/leaseload -leased <binary> -nodes 1 -wal fsync -kill`" + `
+   runs the whole drill — kill mid-load, restart, resume, and
+   byte-compare every tenant against a local replay of its logged
+   history.
 `)
 	return b.Bytes()
 }

@@ -50,21 +50,15 @@ func AppendEventsRecord(dst []byte, tenant string, evs []stream.Event) ([]byte, 
 	return appendEventsBinaryRecord(dst, tenant, evs)
 }
 
-// RecordTenant extracts the tenant a record belongs to. KindOpen,
-// KindEvents and KindClose payloads are JSON; KindEventsBinary carries
-// the tenant as its uvarint-framed prefix.
+// RecordTenant extracts the tenant a record belongs to. KindOpen and
+// KindClose payloads are JSON; KindEventsBinary carries the tenant as
+// its uvarint-framed prefix.
 func RecordTenant(kind byte, payload []byte) (string, error) {
 	switch kind {
 	case KindOpen:
 		var rec OpenRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return "", fmt.Errorf("%w: open record: %v", ErrBadRecord, err)
-		}
-		return rec.Tenant, nil
-	case KindEvents:
-		var rec EventsRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return "", fmt.Errorf("%w: events record: %v", ErrBadRecord, err)
 		}
 		return rec.Tenant, nil
 	case KindEventsBinary:

@@ -1,13 +1,12 @@
 package wal
 
 // The follower half of log shipping: AppendRecord validation, Rescan on
-// an open log, and the satellite invariant that a mixed-era history —
-// version-1 JSON records and version-2 binary records in one directory —
-// re-ships to a follower that recovers the same sessions, with binary
-// floats recovered bit-exact.
+// an open log, and the invariant that a history mixing both record
+// encodings — JSON open/close records and binary event records, across
+// a segment rotation — re-ships to a follower that recovers the same
+// sessions, with binary floats recovered bit-exact.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -177,40 +176,40 @@ func TestRescanMatchesRecover(t *testing.T) {
 }
 
 // TestMixedEraHistoryShipsByteExact is the replica identity check for a
-// primary whose directory spans both eras: a hand-written version-1
-// segment of JSON records, then version-2 binary records with floats
-// JSON cannot carry. Recovering the primary, re-shipping every session
-// to a follower and recovering that follower must reproduce the same
-// sessions — and the binary-era float bits must survive unchanged.
+// primary whose history mixes both record encodings across a segment
+// rotation: JSON open and close records, then binary event records with
+// floats JSON cannot carry. Recovering the primary, re-shipping every
+// session to a follower and recovering that follower must reproduce the
+// same sessions — and the binary float bits must survive unchanged.
 func TestMixedEraHistoryShipsByteExact(t *testing.T) {
 	nan := math.Float64frombits(0x7FF8_0000_CAFE_F00D)
 	dir := t.TempDir()
-	writeJSONEraSegment(t, dir, 1,
-		mustJSONRecord(t, KindOpen, OpenRecord{Tenant: "old", Spec: json.RawMessage(`{"domain":"parking"}`)}),
-		mustJSONRecord(t, KindEvents, EventsRecord{Tenant: "old", Events: jsonEvents(t, dayEvents(0, 1, 2))}),
-		mustJSONRecord(t, KindOpen, OpenRecord{Tenant: "done", Spec: json.RawMessage(`{}`)}),
-		mustJSONRecord(t, KindClose, CloseRecord{Tenant: "done"}),
-	)
-	l := mustOpen(t, dir, Options{SegmentBytes: 64}) // rotate into a v2 segment
-	if err := l.LogEvents("old", dayEvents(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.LogOpen("new", []byte(`{"domain":"deadline"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.LogEvents("new", []stream.Event{
-		{Time: 0, Payload: stream.Batch{Clients: []metric.Point{
-			{X: nan, Y: math.Copysign(0, -1)},
-			{X: math.MaxFloat64, Y: math.SmallestNonzeroFloat64},
-		}}},
-	}); err != nil {
-		t.Fatal(err)
+	l := mustOpen(t, dir, Options{SegmentBytes: 64}) // rotate across segments
+	for _, step := range []func() error{
+		func() error { return l.LogOpen("old", []byte(`{"domain":"parking"}`)) },
+		func() error { return l.LogEvents("old", dayEvents(0, 1, 2)) },
+		func() error { return l.LogOpen("done", []byte(`{}`)) },
+		func() error { return l.LogClose("done") },
+		func() error { return l.LogEvents("old", dayEvents(3)) },
+		func() error { return l.LogOpen("new", []byte(`{"domain":"deadline"}`)) },
+		func() error {
+			return l.LogEvents("new", []stream.Event{
+				{Time: 0, Payload: stream.Batch{Clients: []metric.Point{
+					{X: nan, Y: math.Copysign(0, -1)},
+					{X: math.MaxFloat64, Y: math.SmallestNonzeroFloat64},
+				}}},
+			})
+		},
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v := segVersion(t, dir, 1); v != SegVersionJSON {
-		t.Fatalf("segment 1 version = %d; the directory is not mixed-era", v)
+	if idxs, err := listSegments(dir); err != nil || len(idxs) < 2 {
+		t.Fatalf("history did not span a rotation: segments %v, %v", idxs, err)
 	}
 
 	re := mustOpen(t, dir, Options{})

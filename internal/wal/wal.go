@@ -7,11 +7,12 @@
 // The log leans on the event-sourced shape of the stream protocol: a
 // session's entire state is a pure function of its open spec and its
 // time-ordered events, so durability never serializes algorithm state.
-// Appends record exactly what was acknowledged (in the JSON encodings of
-// internal/wire, the same single source of truth the HTTP service
-// speaks), and recovery replays the records in order through freshly
-// built leasers — producing sessions byte-identical to a single-threaded
-// Replay of the logged history.
+// Appends record exactly what was acknowledged (open specs in the JSON
+// encoding of internal/wire, events in its binary framing — the same
+// single source of truth the HTTP service speaks), and recovery replays
+// the records in order through freshly built leasers — producing
+// sessions byte-identical to a single-threaded Replay of the logged
+// history.
 //
 // On disk a log is a directory of numbered segments. Each segment starts
 // with a fixed header (magic, version, flags) and holds a sequence of
@@ -56,14 +57,11 @@ import (
 const (
 	// SegMagic opens every segment file.
 	SegMagic = "LEASEWAL"
-	// SegVersion is the segment format version this build writes.
-	// Version 2 added the binary events record (KindEventsBinary);
-	// version-1 (JSON-era) segments are still read, so a log written by
-	// an older build recovers unchanged.
+	// SegVersion is the segment format version this build writes and
+	// the only one it reads. Version 2 added the binary events record
+	// (KindEventsBinary); version-1 (JSON-era) segments are refused like
+	// any other version.
 	SegVersion = 2
-	// SegVersionJSON is the JSON-era format version this build still
-	// reads: its segments hold only the JSON record kinds 1..3.
-	SegVersionJSON = 1
 	// SegHeaderSize is the byte size of the segment header.
 	SegHeaderSize = 16
 	// FlagSnapshot marks a compaction snapshot segment: it supersedes
@@ -73,8 +71,8 @@ const (
 
 // Record framing constants. A record is a little-endian uint32 body
 // length, a little-endian uint32 CRC-32C of the body, then the body (one
-// kind byte followed by the kind's payload — JSON for kinds 1..3, the
-// binary event framing of internal/wire for kind 4).
+// kind byte followed by the kind's payload — JSON for kinds 1 and 3,
+// the binary event framing of internal/wire for kind 4).
 const (
 	// RecHeaderSize is the byte size of the record frame header.
 	RecHeaderSize = 8
@@ -83,21 +81,19 @@ const (
 	MaxRecordBytes = 1 << 30
 )
 
-// Record kinds, one per payload type.
+// Record kinds, one per payload type. Kind 2 was the JSON-era events
+// record; it only ever appeared in version-1 segments, which are
+// refused, so it is an unknown kind like any other.
 const (
 	// KindOpen frames an OpenRecord.
 	KindOpen byte = 1
-	// KindEvents frames an EventsRecord.
-	KindEvents byte = 2
 	// KindClose frames a CloseRecord.
 	KindClose byte = 3
 	// KindEventsBinary frames an acknowledged event batch in the binary
-	// wire framing instead of JSON: a uvarint tenant length, the tenant
-	// bytes, then the frame payload of wire.AppendEventsBinary (event
-	// count + events). This is what LogEvents writes since segment
-	// version 2 — the append path encodes events straight to these bytes
-	// with no JSON round-trip — while KindEvents records from JSON-era
-	// logs replay identically.
+	// wire framing: a uvarint tenant length, the tenant bytes, then the
+	// frame payload of wire.AppendEventsBinary (event count + events).
+	// The append path encodes events straight to these bytes with no
+	// JSON round-trip.
 	KindEventsBinary byte = 4
 )
 
@@ -106,13 +102,6 @@ const (
 type OpenRecord struct {
 	Tenant string          `json:"tenant" doc:"the opened tenant"`
 	Spec   json.RawMessage `json:"spec" doc:"the session's open spec (a wire OpenRequest), rebuilt into the same deterministic algorithm on recovery"`
-}
-
-// EventsRecord is the payload of a KindEvents record, appended before
-// the engine enqueues an acknowledged batch.
-type EventsRecord struct {
-	Tenant string       `json:"tenant" doc:"the tenant the batch belongs to"`
-	Events []wire.Event `json:"events" doc:"the acknowledged events in submission order, in the wire encoding (the one source of truth shared with the HTTP protocol)"`
 }
 
 // CloseRecord is the payload of a KindClose record, appended before the
@@ -398,8 +387,8 @@ func parseSegHeader(hdr []byte) (uint32, error) {
 	if string(hdr[:8]) != SegMagic {
 		return 0, fmt.Errorf("bad magic %q", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegVersion && v != SegVersionJSON {
-		return 0, fmt.Errorf("unsupported segment version %d (this build reads versions %d and %d)", v, SegVersionJSON, SegVersion)
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegVersion {
+		return 0, fmt.Errorf("unsupported segment version %d (this build reads version %d)", v, SegVersion)
 	}
 	return binary.LittleEndian.Uint32(hdr[12:16]), nil
 }
@@ -481,20 +470,6 @@ func (st *scanState) apply(kind byte, payload []byte) error {
 		s := &Session{Tenant: r.Tenant, Spec: []byte(r.Spec)}
 		st.order = append(st.order, s)
 		st.byTenant[r.Tenant] = s
-	case KindEvents:
-		var r EventsRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("events record: %w", err)
-		}
-		s, ok := st.byTenant[r.Tenant]
-		if !ok || s.Closed {
-			return nil // dropped live, dropped on recovery
-		}
-		evs, err := wire.StreamEvents(r.Events)
-		if err != nil {
-			return fmt.Errorf("events record for %q: %w", r.Tenant, err)
-		}
-		s.Events = append(s.Events, evs...)
 	case KindEventsBinary:
 		tenant, body, err := splitTenantPayload(payload)
 		if err != nil {
@@ -843,9 +818,6 @@ func (l *Log) Compact() error {
 		if err := write(KindOpen, OpenRecord{Tenant: s.Tenant, Spec: json.RawMessage(s.Spec)}); err != nil {
 			return fail(err)
 		}
-		// Consolidated histories are rewritten as binary records: a
-		// snapshot of a JSON-era log comes out the other side in the
-		// version-2 encoding (the two replay identically).
 		for lo := 0; lo < len(s.Events); lo += compactChunk {
 			hi := min(lo+compactChunk, len(s.Events))
 			body, err := appendEventsBinaryRecord(nil, s.Tenant, s.Events[lo:hi])

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"leasing/internal/metric"
 	"leasing/internal/stream"
 )
 
@@ -101,6 +103,64 @@ func TestRoundTrip(t *testing.T) {
 				t.Errorf("b events = %#v, want %#v", b.Events, want)
 			}
 		})
+	}
+}
+
+// TestBinaryRecordsRecoverExact: the binary events record preserves
+// what JSON cannot — exact float bits (including NaN payloads and
+// signed zero) and the nil-versus-empty clients distinction — across a
+// log round trip.
+func TestBinaryRecordsRecoverExact(t *testing.T) {
+	nan := math.Float64frombits(0x7FF8_0000_DEAD_BEEF)
+	evs := []stream.Event{
+		{Time: 0, Payload: stream.Batch{Clients: []metric.Point{
+			{X: nan, Y: math.Copysign(0, -1)},
+			{X: math.Inf(1), Y: math.SmallestNonzeroFloat64},
+		}}},
+		{Time: 1, Payload: stream.Batch{Clients: nil}},
+		{Time: 2, Payload: stream.Batch{Clients: []metric.Point{}}},
+		{Time: 3, Payload: stream.ElementWindow{Elem: 7, D: -4}},
+	}
+
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{})
+	if err := l.LogOpen("a", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.LogEvents("a", evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := mustOpen(t, dir, Options{})
+	defer re.Close()
+	got := re.Recover()
+	if len(got) != 1 || len(got[0].Events) != len(evs) {
+		t.Fatalf("recovered %+v", got)
+	}
+	rec := got[0].Events
+	pts := rec[0].Payload.(stream.Batch).Clients
+	if b := math.Float64bits(pts[0].X); b != 0x7FF8_0000_DEAD_BEEF {
+		t.Errorf("NaN payload bits = %#x", b)
+	}
+	if !math.Signbit(pts[0].Y) || pts[0].Y != 0 {
+		t.Errorf("negative zero lost: %v", pts[0].Y)
+	}
+	if !math.IsInf(pts[1].X, 1) || pts[1].Y != math.SmallestNonzeroFloat64 {
+		t.Errorf("point 1 = %+v", pts[1])
+	}
+	if rec[1].Payload.(stream.Batch).Clients != nil {
+		t.Error("nil clients recovered non-nil")
+	}
+	// The canonical encoding folds empty into null, exactly like a JSON
+	// round trip does.
+	if rec[2].Payload.(stream.Batch).Clients != nil {
+		t.Error("empty clients did not canonicalize to nil")
+	}
+	if want := (stream.ElementWindow{Elem: 7, D: -4}); rec[3].Payload != want {
+		t.Errorf("event 3 = %#v", rec[3].Payload)
 	}
 }
 
@@ -258,6 +318,64 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
+// TestTornTailBinaryRecord: torn-write handling extends to kind-4
+// records — a CRC-flipped or truncated binary events record at the
+// tail is truncated away, the prefix recovers, and appends resume.
+func TestTornTailBinaryRecord(t *testing.T) {
+	binFrame := func(t *testing.T, tenant string, evs []stream.Event) []byte {
+		t.Helper()
+		payload, err := appendEventsBinaryRecord(nil, tenant, evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameRecord(KindEventsBinary, payload)
+	}
+	cases := map[string]func(t *testing.T, dir string){
+		"crc mismatch": func(t *testing.T, dir string) {
+			frame := binFrame(t, "a", dayEvents(7))
+			frame[len(frame)-1] ^= 0xFF
+			appendGarbage(t, dir, frame)
+		},
+		"truncated frame": func(t *testing.T, dir string) {
+			frame := binFrame(t, "a", dayEvents(7))
+			appendGarbage(t, dir, frame[:len(frame)-3])
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{})
+			if err := l.LogOpen("a", []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.LogEvents("a", dayEvents(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(t, dir)
+
+			re := mustOpen(t, dir, Options{})
+			got := re.Recover()
+			if len(got) != 1 || len(got[0].Events) != 2 {
+				t.Fatalf("recovered %+v, want the two-event prefix", got)
+			}
+			if err := re.LogEvents("a", dayEvents(8)); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re2 := mustOpen(t, dir, Options{})
+			defer re2.Close()
+			if got2 := re2.Recover(); len(got2) != 1 || len(got2[0].Events) != 3 {
+				t.Fatalf("after resume recovered %+v", got2)
+			}
+		})
+	}
+}
+
 // TestCorruptionBeforeTailRefuses: a damaged record in a non-final
 // segment is acknowledged data loss, not a torn tail — Open must refuse
 // rather than silently replay around it.
@@ -293,6 +411,41 @@ func TestCorruptionBeforeTailRefuses(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "corrupt record") {
 		t.Fatalf("open of corrupt non-tail segment: %v", err)
+	}
+}
+
+// TestCorruptBinaryPayloadRefuses: a kind-4 record whose CRC checks out
+// but whose payload does not decode is not a torn write — it is
+// acknowledged data this build cannot replay, and Open must refuse.
+func TestCorruptBinaryPayloadRefuses(t *testing.T) {
+	cases := map[string][]byte{
+		// Tenant length runs past the payload.
+		"bad tenant length": {0xFF, 0xFF, 0x01},
+		// Valid tenant "a", then an event frame with an unknown kind.
+		"bad event kind": {1, 'a', 1, 99, 0},
+	}
+	for name, payload := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, dir, Options{})
+			if err := l.LogOpen("a", []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.LogEvents("a", dayEvents(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A whole record after the damage makes the damaged record
+			// non-tail, so truncation cannot paper over it.
+			appendGarbage(t, dir, frameRecord(KindEventsBinary, payload))
+			appendGarbage(t, dir, frameRecord(KindClose, []byte(`{"tenant":"a"}`)))
+
+			if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "events record") {
+				t.Fatalf("open over corrupt binary payload: %v", err)
+			}
+		})
 	}
 }
 
@@ -341,6 +494,19 @@ func TestCrossVersionHeaders(t *testing.T) {
 		}
 		if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("future-version open: %v", err)
+		}
+	})
+	t.Run("version 1 refuses", func(t *testing.T) {
+		// The JSON-era format: no build since version 2 writes, compacts
+		// or ships it, so it is refused like any other version.
+		dir := t.TempDir()
+		hdr := segHeader(0)
+		binary.LittleEndian.PutUint32(hdr[8:12], 1)
+		if err := os.WriteFile(segPath(dir, 1), hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("version-1 open: %v", err)
 		}
 	})
 	t.Run("bad magic refuses", func(t *testing.T) {
@@ -565,8 +731,8 @@ func TestDurabilityMarkdown(t *testing.T) {
 	bench.Off.EventsPerSec = 2000
 	doc := string(DurabilityMarkdown(bench))
 	for _, want := range []string{
-		SegMagic, "CRC-32C", "OpenRecord", "EventsRecord", "CloseRecord",
-		"JSON-era", "binary events", "application/x-lease-binary",
+		SegMagic, "CRC-32C", "OpenRecord", "CloseRecord",
+		"version-1", "binary events", "application/x-lease-binary",
 		"snapshot", "torn", "last whole record",
 		"group commit", "BENCH_PR5.json", "OPERATIONS.md", "ARCHITECTURE.md",
 	} {
@@ -589,7 +755,11 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(frameRecord(KindOpen, []byte(`{"tenant":"a","spec":{}}`)))
-	f.Add(frameRecord(KindEvents, []byte(`{"tenant":"a","events":[{"time":1,"kind":"day"}]}`)))
+	days, err := appendEventsBinaryRecord(nil, "a", dayEvents(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frameRecord(KindEventsBinary, days))
 	f.Add(append(frameRecord(KindClose, []byte(`{"tenant":"a"}`)), 0xDE, 0xAD))
 	torn := frameRecord(KindClose, []byte(`{"tenant":"b"}`))
 	f.Add(torn[:len(torn)-2])

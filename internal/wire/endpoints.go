@@ -474,7 +474,7 @@ The binary run encoding mirrors the ` + "`Run`" + ` wire type: a version byte,
 then decisions, curve and the final cost breakdown, with nil-vs-empty
 presence bytes preserving the ` + "`null`" + ` vs ` + "`[]`" + ` distinction. The Go
 client speaks the framing with ` + "`RemoteClientOptions{Binary: true}`" + `;
-` + "`leaseload -remote -binary`" + ` load-tests it.
+` + "`leaseload -nodes 1 -binary`" + ` load-tests it.
 
 ## Wire types
 

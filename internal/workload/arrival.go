@@ -2,9 +2,10 @@ package workload
 
 // Pluggable arrival processes for the load harness. Where the
 // generators in workload.go are one-shot helpers bound to a fixed
-// Bernoulli rate, an Arrival is a named, stateful process the stepped
-// SLA ramp of cmd/leaseload plugs in per tenant: constant, diurnal
-// sinusoid, or bursty on/off — plus Zipf-skewed tenant sizing. All
+// Bernoulli rate, an Arrival is a named, stateful process
+// cmd/leaseload plugs in per tenant, in one-step and stepped SLA runs
+// alike: constant, diurnal sinusoid, or bursty on/off — plus
+// Zipf-skewed tenant sizing. All
 // randomness flows through the caller's *rand.Rand in a fixed per-step
 // order, so equal seeds yield byte-identical event streams (the
 // property the arrival tests pin down).
