@@ -108,9 +108,10 @@
 // to a single-threaded Replay of that history. Torn tail records are
 // CRC-detected and truncated rather than replayed, and snapshot
 // compaction reclaims closed sessions. cmd/leased exposes this as
-// -data-dir/-fsync/-compact-every and cmd/leaseload -crash drills
-// SIGKILL-and-recover end to end; docs/DURABILITY.md (generated from
-// internal/wal) documents the format, semantics and runbook.
+// -data-dir/-fsync/-compact-every, and cmd/leaseload -leased BIN
+// -nodes 1 -wal fsync -kill drills SIGKILL-and-recover end to end;
+// docs/DURABILITY.md (generated from internal/wal) documents the format,
+// semantics and runbook.
 //
 // # Experiments
 //

@@ -389,17 +389,24 @@ func TestClusterFailoverByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Replication barrier, then the crash.
+	// Replication barrier, then the crash. Ring placement hashes the
+	// nodes' random loopback ports, so a fixed victim may own nothing;
+	// the node owning the most tenants (leaseload -kill's rule) always
+	// owns at least a third of them.
 	for _, nd := range nodes {
 		nd.sh.Flush()
 	}
-	victim := nodes[0]
-	doomed := 0
+	owned := map[string]int{}
 	for _, tn := range names {
-		if cl.Owner(tn) == victim.url {
-			doomed++
+		owned[cl.Owner(tn)]++
+	}
+	victim := nodes[0]
+	for _, nd := range nodes {
+		if owned[nd.url] > owned[victim.url] {
+			victim = nd
 		}
 	}
+	doomed := owned[victim.url]
 	if doomed == 0 {
 		t.Fatal("no tenant placed on the victim; widen the tenant set")
 	}

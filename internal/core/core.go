@@ -32,11 +32,12 @@ func (il ItemLease) Lease() lease.Lease { return lease.Lease{K: il.K, Start: il.
 // ItemStore records purchased item leases with per-item, per-type costs
 // (c_ik in the thesis). Construct with NewItemStore.
 type ItemStore struct {
-	cfg    *lease.Config
-	costs  [][]float64
-	bought map[ItemLease]struct{}
-	byItem map[int][][]int64 // item -> per type -> sorted starts
-	total  float64
+	cfg     *lease.Config
+	costs   [][]float64
+	bought  map[ItemLease]struct{}
+	journal []ItemLease       // purchases in buy order, append-only
+	byItem  map[int][][]int64 // item -> per type -> sorted starts
+	total   float64
 }
 
 // NewItemStore creates an empty store. costs[i][k] is the cost of leasing
@@ -83,6 +84,7 @@ func (s *ItemStore) Buy(il ItemLease) (bool, error) {
 		return false, nil
 	}
 	s.bought[il] = struct{}{}
+	s.journal = append(s.journal, il)
 	s.total += s.costs[il.Item][il.K]
 	perType, ok := s.byItem[il.Item]
 	if !ok {
@@ -135,15 +137,14 @@ func (s *ItemStore) ActiveItems(t int64) []int {
 // TotalCost returns the accumulated leasing cost.
 func (s *ItemStore) TotalCost() float64 { return s.total }
 
-// Count returns the number of distinct triples bought.
-func (s *ItemStore) Count() int { return len(s.bought) }
+// BoughtSince returns the triples bought after the first n, in buy
+// order. The slice aliases the store's journal; callers must not mutate
+// it.
+func (s *ItemStore) BoughtSince(n int) []ItemLease { return s.journal[n:] }
 
 // Leases returns all bought triples sorted by (item, type, start).
 func (s *ItemStore) Leases() []ItemLease {
-	out := make([]ItemLease, 0, len(s.bought))
-	for il := range s.bought {
-		out = append(out, il)
-	}
+	out := append([]ItemLease{}, s.journal...)
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Item != out[b].Item {
 			return out[a].Item < out[b].Item

@@ -87,9 +87,6 @@ func TestActiveItemsSortedAndLeases(t *testing.T) {
 		ls[2] != (ItemLease{Item: 2, K: 0, Start: 4}) {
 		t.Errorf("Leases() = %v not sorted as expected", ls)
 	}
-	if s.Count() != 3 {
-		t.Errorf("Count = %d, want 3", s.Count())
-	}
 	if s.NumItems() != 3 {
 		t.Errorf("NumItems = %d, want 3", s.NumItems())
 	}

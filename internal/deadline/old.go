@@ -184,6 +184,10 @@ func (o *Online) Skips() int { return o.skips }
 // Leases returns the bought leases.
 func (o *Online) Leases() []lease.Lease { return o.store.Leases() }
 
+// BoughtSince returns the leases bought after the first n, in buy order.
+// The slice aliases the purchase log; callers must not mutate it.
+func (o *Online) BoughtSince(n int) []lease.Lease { return o.store.BoughtSince(n) }
+
 // DualFeasible verifies no lease's accumulated contribution exceeds its
 // cost.
 func (o *Online) DualFeasible() bool {

@@ -90,6 +90,7 @@ type SCLDOnline struct {
 	frac      map[setcover.SetLease]float64
 	mu        map[setcover.SetLease]float64
 	bought    map[setcover.SetLease]struct{}
+	log       []setcover.SetLease // bought, in buy order: append-only
 	total     float64
 	fracCost  float64
 	fallbacks int
@@ -114,6 +115,12 @@ func NewSCLDOnline(inst *SCLDInstance, rng *rand.Rand) (*SCLDOnline, error) {
 		mu:     make(map[setcover.SetLease]float64),
 		bought: make(map[setcover.SetLease]struct{}),
 	}, nil
+}
+
+func (o *SCLDOnline) buy(sl setcover.SetLease) {
+	o.bought[sl] = struct{}{}
+	o.log = append(o.log, sl)
+	o.total += o.inst.Costs[sl.Set][sl.K]
 }
 
 func (o *SCLDOnline) threshold(sl setcover.SetLease) float64 {
@@ -170,8 +177,7 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 			continue
 		}
 		if o.frac[c] > o.threshold(c) {
-			o.bought[c] = struct{}{}
-			o.total += o.inst.Costs[c.Set][c.K]
+			o.buy(c)
 			covered = true
 		}
 	}
@@ -186,8 +192,7 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 			best, bestCost = c, cc
 		}
 	}
-	o.bought[best] = struct{}{}
-	o.total += bestCost
+	o.buy(best)
 	return nil
 }
 
@@ -213,13 +218,14 @@ func (o *SCLDOnline) Fallbacks() int { return o.fallbacks }
 // Bought returns the leased triples in canonical (set, type, start)
 // order, so snapshots built from it are identical across runs.
 func (o *SCLDOnline) Bought() []setcover.SetLease {
-	out := make([]setcover.SetLease, 0, len(o.bought))
-	for sl := range o.bought {
-		out = append(out, sl)
-	}
+	out := append([]setcover.SetLease{}, o.log...)
 	setcover.SortSetLeases(out)
 	return out
 }
+
+// BoughtSince returns the triples leased after the first n, in buy
+// order. The slice aliases the purchase log; callers must not mutate it.
+func (o *SCLDOnline) BoughtSince(n int) []setcover.SetLease { return o.log[n:] }
 
 // VerifySCLDFeasible checks every arrival has a bought triple of a
 // containing set whose window intersects the arrival's window.

@@ -12,16 +12,15 @@ import (
 // stream protocol. The single resource is item 0; each Window payload is
 // one flexible client (t, d).
 type Leaser struct {
-	alg      *Online
-	seen     map[lease.Lease]struct{}
-	lastCost float64
+	alg *Online
+	log *stream.Journal[lease.Lease]
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps an OLD algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[lease.Lease]struct{})}
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.BoughtSince, stream.SingleResource)}
 }
 
 // Observe implements stream.Leaser. It accepts Window payloads.
@@ -33,22 +32,7 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.D); err != nil {
 		return stream.Decision{}, err
 	}
-	// A client served for free (skip rule) left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	for _, ls := range l.alg.Leases() {
-		if _, ok := l.seen[ls]; ok {
-			continue
-		}
-		l.seen[ls] = struct{}{}
-		d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
+	return l.log.Decision(l.alg.TotalCost()), nil
 }
 
 // Cost implements stream.Leaser.
@@ -57,30 +41,21 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 }
 
 // Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	ls := l.alg.Leases()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(ls))}
-	for i, x := range ls {
-		sol.Leases[i] = stream.ItemLease{Item: 0, K: x.K, Start: x.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
+func (l *Leaser) Snapshot() stream.Solution { return stream.Solution{Leases: l.log.Leases()} }
 
 // SCLDStream adapts the SCLD randomized algorithm to the unified stream
 // protocol. Items are set indices; each ElementWindow payload is one
 // deadline demand (element, window).
 type SCLDStream struct {
-	alg      *SCLDOnline
-	seen     map[setcover.SetLease]struct{}
-	lastCost float64
+	alg *SCLDOnline
+	log *stream.Journal[setcover.SetLease]
 }
 
 var _ stream.Leaser = (*SCLDStream)(nil)
 
 // NewSCLDStream wraps an SCLD algorithm as a stream.Leaser.
 func NewSCLDStream(alg *SCLDOnline) *SCLDStream {
-	return &SCLDStream{alg: alg, seen: make(map[setcover.SetLease]struct{})}
+	return &SCLDStream{alg: alg, log: stream.NewJournal(alg.BoughtSince, setcover.SetLease.Triple)}
 }
 
 // Observe implements stream.Leaser. It accepts ElementWindow payloads.
@@ -92,22 +67,7 @@ func (l *SCLDStream) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.Elem, p.D); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand covered by existing triples left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	for sl := range l.alg.bought {
-		if _, ok := l.seen[sl]; ok {
-			continue
-		}
-		l.seen[sl] = struct{}{}
-		d.Leases = append(d.Leases, stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start})
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
+	return l.log.Decision(l.alg.TotalCost()), nil
 }
 
 // Cost implements stream.Leaser.
@@ -116,15 +76,7 @@ func (l *SCLDStream) Cost() stream.CostBreakdown {
 }
 
 // Snapshot implements stream.Leaser.
-func (l *SCLDStream) Snapshot() stream.Solution {
-	bought := l.alg.Bought()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(bought))}
-	for i, sl := range bought {
-		sol.Leases[i] = stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
+func (l *SCLDStream) Snapshot() stream.Solution { return stream.Solution{Leases: l.log.Leases()} }
 
 // SCLDEvents converts SCLD arrivals into ElementWindow events.
 func SCLDEvents(arrivals []SCLDArrival) []stream.Event {

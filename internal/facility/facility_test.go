@@ -3,10 +3,12 @@ package facility
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"leasing/internal/lease"
 	"leasing/internal/metric"
+	"leasing/internal/stream"
 	"leasing/internal/workload"
 )
 
@@ -194,6 +196,37 @@ func TestOnlineFeasibleAndBoundedOnRandomInstances(t *testing.T) {
 		if ratio := alg.TotalCost() / opt.Cost; ratio > 4*float64(3+cfg.K())*h+1e-6 {
 			t.Errorf("seed %d: ratio %v above theorem bound", seed, ratio)
 		}
+		checkLeaserMatchesSolution(t, inst, Options{})
+	}
+}
+
+// checkLeaserMatchesSolution steps a fresh Online over inst through the
+// stream adapter and checks the adapter's Snapshot against the
+// algorithm's own Solution. The adapter takes each step's assignments
+// from the live round's tail, so this catches a step that rewrites an
+// earlier client's assignment.
+func checkLeaserMatchesSolution(t *testing.T, inst *Instance, opts Options) {
+	t.Helper()
+	alg, err := NewOnline(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLeaser(alg)
+	for step, batch := range inst.Batches {
+		if _, err := l.Observe(stream.Event{Time: int64(step), Payload: stream.Batch{Clients: batch}}); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	leases, assigns := alg.Solution()
+	want := stream.Solution{Leases: []stream.ItemLease{}, Assignments: []stream.Assignment{}}
+	for _, fl := range leases {
+		want.Leases = append(want.Leases, stream.ItemLease{Item: fl.Facility, K: fl.K, Start: fl.Start})
+	}
+	for _, a := range assigns {
+		want.Assignments = append(want.Assignments, stream.Assignment{Item: a.Facility, K: a.K, Cost: a.Dist})
+	}
+	if got := l.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Leaser snapshot %+v != Solution %+v", got, want)
 	}
 }
 
@@ -295,6 +328,7 @@ func TestResetEachRoundStaysFeasible(t *testing.T) {
 	if alg.TotalCost() > float64(3+cfg.K())*alg.DualTotal()+1e-6 {
 		t.Errorf("cost %v exceeds (3+K)*dual %v under round reset", alg.TotalCost(), float64(3+cfg.K())*alg.DualTotal())
 	}
+	checkLeaserMatchesSolution(t, inst, Options{ResetEachRound: true})
 }
 
 func TestStepOrderEnforced(t *testing.T) {

@@ -420,6 +420,10 @@ func (o *Online) phase2(t int64, ps *phaseState, newStart int) {
 
 	// Connect the new clients: keep the phase-1 facility if it survived,
 	// otherwise route through a selected conflict neighbor (Prop 4.2).
+	// Only this step's clients are written here, and phase 1 assigns a
+	// client only while its alphaHat is +Inf, so no step rewrites an
+	// earlier client's assignment: Leaser reads each step's assignments
+	// from the live round's tail and relies on this.
 	for j := newStart; j < n; j++ {
 		cs := &o.clients[j]
 		i, kk := cs.assign.Facility, cs.assign.K

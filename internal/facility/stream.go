@@ -11,18 +11,16 @@ import (
 // stream protocol. Items are site indices; each Batch payload is one
 // Step, and new client connections surface as Decision assignments.
 type Leaser struct {
-	alg      *Online
-	seen     map[core.ItemLease]struct{}
-	assigned int
-	lastCost float64
-	leases   int
+	alg     *Online
+	log     *stream.Journal[core.ItemLease]
+	assigns []stream.Assignment // every client's, in arrival order
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a facility-leasing algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[core.ItemLease]struct{})}
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.store.BoughtSince, stream.Identity)}
 }
 
 // Observe implements stream.Leaser. It accepts Batch payloads (an empty
@@ -35,28 +33,13 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Step(ev.Time, p.Clients); err != nil {
 		return stream.Decision{}, err
 	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	// The store only grows, so an unchanged count means no new triples
-	// and the O(L log L) enumeration can be skipped.
-	if n := l.alg.store.Count(); n != l.leases {
-		l.leases = n
-		for _, il := range l.alg.store.Leases() {
-			if _, ok := l.seen[il]; ok {
-				continue
-			}
-			l.seen[il] = struct{}{}
-			d.Leases = append(d.Leases, il)
-		}
-		stream.SortItemLeases(d.Leases)
+	d := l.log.Decision(l.alg.TotalCost())
+	// A step appends its clients to the live round and assigns only
+	// them, once, so its assignments are the round's tail.
+	for _, cs := range l.alg.clients[len(l.alg.clients)-len(p.Clients):] {
+		d.Assignments = append(d.Assignments, stream.Assignment{Item: cs.assign.Facility, K: cs.assign.K, Cost: cs.assign.Dist})
 	}
-	// Clients are only ever appended (round resets preserve arrival
-	// order across archived+live), so the new assignments are the tail.
-	if len(p.Clients) > 0 {
-		assigns := l.assignments()
-		d.Assignments = assigns[l.assigned:]
-		l.assigned = len(assigns)
-	}
+	l.assigns = append(l.assigns, d.Assignments...)
 	return d, nil
 }
 
@@ -67,19 +50,5 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 
 // Snapshot implements stream.Leaser.
 func (l *Leaser) Snapshot() stream.Solution {
-	sol := stream.Solution{
-		Leases:      l.alg.store.Leases(),
-		Assignments: l.assignments(),
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
-
-func (l *Leaser) assignments() []stream.Assignment {
-	_, native := l.alg.Solution()
-	out := make([]stream.Assignment, len(native))
-	for i, a := range native {
-		out[i] = stream.Assignment{Item: a.Facility, K: a.K, Cost: a.Dist}
-	}
-	return out
+	return stream.Solution{Leases: l.log.Leases(), Assignments: append([]stream.Assignment{}, l.assigns...)}
 }

@@ -78,19 +78,16 @@ func (s *Store) TotalCost() float64 { return s.total }
 func (s *Store) Count() int { return len(s.bought) }
 
 // BoughtSince returns the leases bought after the first n, in buy
-// order. A caller that remembers Count() between calls reads each new
-// purchase exactly once, without rebuilding (or re-sorting) the full
-// set the way Leases does — the streaming adapters' O(new) diff. The
-// slice aliases the store's journal; callers must not mutate it.
+// order: the tail of the append-only purchase log a stream.Journal reads
+// each decision from, once per purchase, without rebuilding or
+// re-sorting the full set the way Leases does. The slice aliases the
+// store's journal; callers must not mutate it.
 func (s *Store) BoughtSince(n int) []Lease { return s.journal[n:] }
 
 // Leases returns the bought leases in deterministic order (by type, then
 // start time).
 func (s *Store) Leases() []Lease {
-	out := make([]Lease, 0, len(s.bought))
-	for l := range s.bought {
-		out = append(out, l)
-	}
+	out := append([]Lease{}, s.journal...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].K != out[j].K {
 			return out[i].K < out[j].K

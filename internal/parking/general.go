@@ -87,8 +87,7 @@ func (a *GeneralAdapter) TotalCost() float64 { return a.store.TotalCost() }
 // Leases implements Algorithm.
 func (a *GeneralAdapter) Leases() []lease.Lease { return a.store.Leases() }
 
-// BoughtSince exposes the store's purchase journal for the streaming
-// adapter's O(new) decision diff.
+// BoughtSince implements Algorithm.
 func (a *GeneralAdapter) BoughtSince(n int) []lease.Lease { return a.store.BoughtSince(n) }
 
 // RoundedConfig exposes the rounded configuration (for tests and

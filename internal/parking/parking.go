@@ -30,7 +30,8 @@ var ErrTimeRegression = errors.New("parking: arrival time precedes an earlier ar
 const tightEps = 1e-9
 
 // Algorithm is the interface shared by the deterministic and randomized
-// online algorithms; the adversary drivers operate against it.
+// online algorithms; the adversary drivers and the stream adapter
+// operate against it.
 type Algorithm interface {
 	// Arrive processes a demand (a client needing a permit) on day t.
 	// Arrival days must be non-decreasing.
@@ -41,6 +42,10 @@ type Algorithm interface {
 	TotalCost() float64
 	// Leases returns the leases bought so far.
 	Leases() []lease.Lease
+	// BoughtSince returns the leases bought after the first n, in buy
+	// order: the tail of the append-only purchase log the stream
+	// adapter reads its decisions from. Callers must not mutate it.
+	BoughtSince(n int) []lease.Lease
 }
 
 // Deterministic is the primal-dual Algorithm 1: when a client arrives, its
@@ -113,8 +118,7 @@ func (d *Deterministic) TotalCost() float64 { return d.store.TotalCost() }
 // Leases implements Algorithm.
 func (d *Deterministic) Leases() []lease.Lease { return d.store.Leases() }
 
-// BoughtSince exposes the store's purchase journal for the streaming
-// adapter's O(new) decision diff.
+// BoughtSince implements Algorithm.
 func (d *Deterministic) BoughtSince(n int) []lease.Lease { return d.store.BoughtSince(n) }
 
 // DualTotal returns the accumulated dual objective (the sum of all client
@@ -221,8 +225,7 @@ func (r *Randomized) TotalCost() float64 { return r.store.TotalCost() }
 // Leases implements Algorithm.
 func (r *Randomized) Leases() []lease.Lease { return r.store.Leases() }
 
-// BoughtSince exposes the store's purchase journal for the streaming
-// adapter's O(new) decision diff.
+// BoughtSince implements Algorithm.
 func (r *Randomized) BoughtSince(n int) []lease.Lease { return r.store.BoughtSince(n) }
 
 // FractionalCost returns the cost of the fractional solution, the quantity

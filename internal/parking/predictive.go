@@ -73,8 +73,7 @@ func (a *Predictive) TotalCost() float64 { return a.store.TotalCost() }
 // Leases implements Algorithm.
 func (a *Predictive) Leases() []lease.Lease { return a.store.Leases() }
 
-// BoughtSince exposes the store's purchase journal for the streaming
-// adapter's O(new) decision diff.
+// BoughtSince implements Algorithm.
 func (a *Predictive) BoughtSince(n int) []lease.Lease { return a.store.BoughtSince(n) }
 
 // ErrNoDemand is returned by helpers that need at least one demand day.

@@ -9,37 +9,18 @@ import (
 
 // Leaser adapts any parking-permit Algorithm (deterministic, randomized or
 // predictive) to the unified stream protocol. The single resource is item
-// 0; the adapter delegates every demand to the native Arrive and diffs the
-// purchase set to report incremental decisions.
+// 0; the adapter delegates every demand to the native Arrive and reads
+// its decision off the algorithm's purchase log (BoughtSince).
 type Leaser struct {
-	alg      Algorithm
-	journal  purchaseJournal          // non-nil: O(new) diff via the store's buy journal
-	cursor   int                      // leases already reported from the journal
-	seen     map[lease.Lease]struct{} // fallback diff for algorithms without a journal
-	lastCost float64
-}
-
-// purchaseJournal is the fast diff path: the built-in algorithms expose
-// their store's append-only purchase journal, so the adapter reads each
-// new lease exactly once instead of rebuilding and sorting the full
-// purchase set per buying demand (which made long streams quadratic).
-// External Algorithm implementations without it fall back to the
-// purchase-set diff.
-type purchaseJournal interface {
-	BoughtSince(n int) []lease.Lease
+	alg Algorithm
+	log *stream.Journal[lease.Lease]
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a parking-permit algorithm as a stream.Leaser.
 func NewLeaser(alg Algorithm) *Leaser {
-	l := &Leaser{alg: alg}
-	if j, ok := alg.(purchaseJournal); ok {
-		l.journal = j
-	} else {
-		l.seen = make(map[lease.Lease]struct{})
-	}
-	return l
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.BoughtSince, stream.SingleResource)}
 }
 
 // Observe implements stream.Leaser. It accepts Day payloads (or nil).
@@ -50,30 +31,7 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand that bought nothing left the store untouched, so the total
-	// is bit-identical; skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	if l.journal != nil {
-		bought := l.journal.BoughtSince(l.cursor)
-		l.cursor += len(bought)
-		for _, ls := range bought {
-			d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
-		}
-	} else {
-		for _, ls := range l.alg.Leases() {
-			if _, ok := l.seen[ls]; ok {
-				continue
-			}
-			l.seen[ls] = struct{}{}
-			d.Leases = append(d.Leases, stream.ItemLease{Item: 0, K: ls.K, Start: ls.Start})
-		}
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
+	return l.log.Decision(l.alg.TotalCost()), nil
 }
 
 // Cost implements stream.Leaser.
@@ -82,12 +40,4 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 }
 
 // Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	ls := l.alg.Leases()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(ls))}
-	for i, x := range ls {
-		sol.Leases[i] = stream.ItemLease{Item: 0, K: x.K, Start: x.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
+func (l *Leaser) Snapshot() stream.Solution { return stream.Solution{Leases: l.log.Leases()} }

@@ -105,20 +105,11 @@ type Options struct {
 	Prediction float64
 }
 
-// provisioner is what a pool unit runs: a parking-permit algorithm with
-// the purchase journal the decision diff reads.
-type provisioner interface {
-	parking.Algorithm
-	BoughtSince(n int) []lease.Lease
-}
-
-// poolUnit is one capacity unit: its provisioning state, its busy
-// horizon, and everything it has bought (for covering-type lookup).
+// poolUnit is one capacity unit: its provisioning algorithm and its busy
+// horizon.
 type poolUnit struct {
-	alg       provisioner
-	cursor    int
+	alg       parking.Algorithm
 	busyUntil int64 // exclusive: the unit is free at t iff t >= busyUntil
-	leases    []lease.Lease
 }
 
 // Online is the greedy first-fit allocator over C units. It is
@@ -127,6 +118,7 @@ type Online struct {
 	cfg      *lease.Config
 	opts     Options
 	units    []poolUnit
+	log      []stream.ItemLease // every unit's purchases in buy order: append-only
 	total    float64
 	lastT    int64
 	started  bool
@@ -144,7 +136,7 @@ func NewOnline(cfg *lease.Config, capacity int, opts Options) (*Online, error) {
 	units := make([]poolUnit, capacity)
 	for i := range units {
 		var (
-			alg provisioner
+			alg parking.Algorithm
 			err error
 		)
 		if opts.Prediction != 0 {
@@ -193,12 +185,12 @@ func satAdd(t, d int64) int64 {
 }
 
 // Grant processes one request: unit is the serving unit and ktype the
-// lease type it was served under (both -1 on rejection), bought lists
-// the leases newly purchased for the grant, and cost is the incremental
-// provisioning cost of the step.
-func (o *Online) Grant(t, dur int64) (unit, ktype int, bought []lease.Lease, cost float64, err error) {
+// lease type it was served under (both -1 on rejection), and cost is the
+// incremental provisioning cost of the step. The leases newly purchased
+// for the grant are the tail of BoughtSince.
+func (o *Online) Grant(t, dur int64) (unit, ktype int, cost float64, err error) {
 	if o.started && t < o.lastT {
-		return -1, -1, nil, 0, fmt.Errorf("%w: %d after %d", ErrTimeRegression, t, o.lastT)
+		return -1, -1, 0, fmt.Errorf("%w: %d after %d", ErrTimeRegression, t, o.lastT)
 	}
 	o.started, o.lastT = true, t
 	dur = max(dur, 1)
@@ -216,36 +208,33 @@ func (o *Online) Grant(t, dur int64) (unit, ktype int, bought []lease.Lease, cos
 	}
 	if pick < 0 {
 		o.rejected++
-		return -1, -1, nil, 0, nil
+		return -1, -1, 0, nil
 	}
 
 	u := &o.units[pick]
+	n := len(u.alg.BoughtSince(0))
 	if err := u.alg.Arrive(t); err != nil {
-		return -1, -1, nil, 0, err
+		return -1, -1, 0, err
 	}
-	if news := u.alg.BoughtSince(u.cursor); len(news) > 0 {
-		u.cursor += len(news)
-		u.leases = append(u.leases, news...)
-		bought = news
-		for _, l := range news {
-			cost += o.cfg.Cost(l.K)
-		}
-		o.total += cost
+	for _, l := range u.alg.BoughtSince(n) {
+		cost += o.cfg.Cost(l.K)
+		o.log = append(o.log, stream.ItemLease{Item: pick, K: l.K, Start: l.Start})
 	}
+	o.total += cost
 	ktype = o.coveringType(u, t)
 	if ktype < 0 {
-		return -1, -1, nil, 0, fmt.Errorf("reusable: unit %d uncovered at %d after provisioning", pick, t)
+		return -1, -1, 0, fmt.Errorf("reusable: unit %d uncovered at %d after provisioning", pick, t)
 	}
 	u.busyUntil = satAdd(t, dur)
 	o.accepted++
-	return pick, ktype, bought, cost, nil
+	return pick, ktype, cost, nil
 }
 
 // coveringType returns the longest lease type under which the unit's
 // purchases cover t, or -1 when uncovered.
 func (o *Online) coveringType(u *poolUnit, t int64) int {
 	best := -1
-	for _, l := range u.leases {
+	for _, l := range u.alg.BoughtSince(0) {
 		if l.K > best && o.cfg.Covers(l, t) {
 			best = l.K
 		}
@@ -253,15 +242,15 @@ func (o *Online) coveringType(u *poolUnit, t int64) int {
 	return best
 }
 
+// BoughtSince returns the leases bought after the first n, in buy order,
+// as (unit, type, start) triples. The slice aliases the purchase log;
+// callers must not mutate it.
+func (o *Online) BoughtSince(n int) []stream.ItemLease { return o.log[n:] }
+
 // Leases returns every lease bought so far as (unit, type, start)
 // triples in canonical order.
 func (o *Online) Leases() []stream.ItemLease {
-	var out []stream.ItemLease
-	for i := range o.units {
-		for _, l := range o.units[i].leases {
-			out = append(out, stream.ItemLease{Item: i, K: l.K, Start: l.Start})
-		}
-	}
+	out := append([]stream.ItemLease(nil), o.log...)
 	stream.SortItemLeases(out)
 	return out
 }

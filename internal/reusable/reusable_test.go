@@ -85,21 +85,22 @@ func TestGrantFirstFitAndReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// t=0: unit 0 granted, provisioned.
-	unit, ktype, bought, cost, err := o.Grant(0, 3)
+	unit, ktype, cost, err := o.Grant(0, 3)
 	if err != nil || unit != 0 {
 		t.Fatalf("first grant: unit %d, err %v", unit, err)
 	}
-	if len(bought) == 0 || cost <= 0 || ktype < 0 {
+	if bought := o.BoughtSince(0); len(bought) == 0 || cost <= 0 || ktype < 0 {
 		t.Fatalf("first grant bought %v at %v under type %d", bought, cost, ktype)
 	}
 	// t=1: unit 0 busy until 3, unit 1 serves until 3.
-	unit, _, _, _, err = o.Grant(1, 2)
+	unit, _, _, err = o.Grant(1, 2)
 	if err != nil || unit != 1 {
 		t.Fatalf("second grant: unit %d, err %v", unit, err)
 	}
 	// t=2: both busy — rejected.
-	unit, ktype, bought, cost, err = o.Grant(2, 1)
-	if err != nil || unit != -1 || ktype != -1 || bought != nil || cost != 0 {
+	logged := len(o.BoughtSince(0))
+	unit, ktype, cost, err = o.Grant(2, 1)
+	if bought := o.BoughtSince(logged); err != nil || unit != -1 || ktype != -1 || len(bought) != 0 || cost != 0 {
 		t.Fatalf("expected rejection, got unit %d type %d bought %v cost %v err %v", unit, ktype, bought, cost, err)
 	}
 	if o.InUse(2) != 2 {
@@ -107,7 +108,7 @@ func TestGrantFirstFitAndReuse(t *testing.T) {
 	}
 	// t=3: unit 0 free again; if its lease still covers t the grant is free.
 	before := o.TotalCost()
-	unit, _, _, cost, err = o.Grant(3, 1)
+	unit, _, cost, err = o.Grant(3, 1)
 	if err != nil || unit != 0 {
 		t.Fatalf("reuse grant: unit %d, err %v", unit, err)
 	}
@@ -123,7 +124,7 @@ func TestGrantFirstFitAndReuse(t *testing.T) {
 	if got := o.Leases(); len(got) == 0 {
 		t.Fatal("no leases recorded")
 	}
-	if _, _, _, _, err := o.Grant(1, 1); !errors.Is(err, ErrTimeRegression) {
+	if _, _, _, err := o.Grant(1, 1); !errors.Is(err, ErrTimeRegression) {
 		t.Fatalf("time regression: got %v", err)
 	}
 }
@@ -135,7 +136,7 @@ func TestGrantSaturatesPathologicalDurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duration 0 is normalized to 1: the unit is busy at t but free at t+1.
-	if unit, _, _, _, _ := o.Grant(5, 0); unit != 0 {
+	if unit, _, _, _ := o.Grant(5, 0); unit != 0 {
 		t.Fatal("zero-duration grant rejected")
 	}
 	if o.InUse(5) != 1 || o.InUse(6) != 0 {
@@ -143,10 +144,10 @@ func TestGrantSaturatesPathologicalDurations(t *testing.T) {
 	}
 	// A maximal duration saturates instead of wrapping: the unit is busy
 	// forever, so every later request on the 1-unit pool is rejected.
-	if unit, _, _, _, _ := o.Grant(6, math.MaxInt64); unit != 0 {
+	if unit, _, _, _ := o.Grant(6, math.MaxInt64); unit != 0 {
 		t.Fatal("max-duration grant rejected")
 	}
-	if unit, _, _, _, _ := o.Grant(math.MaxInt64-1, 1); unit != -1 {
+	if unit, _, _, _ := o.Grant(math.MaxInt64-1, 1); unit != -1 {
 		t.Fatal("grant accepted on a saturated unit")
 	}
 	if o.InUse(math.MaxInt64-1) != 1 {
@@ -171,11 +172,11 @@ func TestPredictiveMatchesAdmissionShiftsProvisioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range inst.Requests() {
-		du, _, _, _, err := det.Grant(r.T, r.Dur)
+		du, _, _, err := det.Grant(r.T, r.Dur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pu, _, _, _, err := pred.Grant(r.T, r.Dur)
+		pu, _, _, err := pred.Grant(r.T, r.Dur)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,15 +12,17 @@ import (
 // rejection — so a Solution carries a positional verdict per request
 // that Verify can replay against the instance.
 type Leaser struct {
-	alg         *Online
-	leases      []stream.ItemLease
-	assignments []stream.Assignment
+	alg     *Online
+	log     *stream.Journal[stream.ItemLease]
+	assigns []stream.Assignment // one per request, in arrival order
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps an allocator as a stream.Leaser consuming Use events.
-func NewLeaser(alg *Online) *Leaser { return &Leaser{alg: alg} }
+func NewLeaser(alg *Online) *Leaser {
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.BoughtSince, stream.Identity)}
+}
 
 // Observe implements stream.Leaser. It accepts Use payloads only.
 func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
@@ -28,20 +30,15 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if !ok {
 		return stream.Decision{}, fmt.Errorf("reusable: unsupported payload %T", ev.Payload)
 	}
-	unit, ktype, bought, cost, err := l.alg.Grant(ev.Time, p.Dur)
+	unit, ktype, cost, err := l.alg.Grant(ev.Time, p.Dur)
 	if err != nil {
 		return stream.Decision{}, err
 	}
-	d := stream.Decision{
-		Assignments: []stream.Assignment{{Item: unit, K: ktype, Cost: 0}},
-		Cost:        cost,
-	}
-	for _, b := range bought {
-		d.Leases = append(d.Leases, stream.ItemLease{Item: unit, K: b.K, Start: b.Start})
-	}
-	stream.SortItemLeases(d.Leases)
-	l.leases = append(l.leases, d.Leases...)
-	l.assignments = append(l.assignments, d.Assignments...)
+	d := l.log.Decision(l.alg.TotalCost())
+	// The grant's own sum: the total's growth can round differently.
+	d.Cost = cost
+	d.Assignments = []stream.Assignment{{Item: unit, K: ktype, Cost: 0}}
+	l.assigns = append(l.assigns, d.Assignments...)
 	return d, nil
 }
 
@@ -52,12 +49,5 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 
 // Snapshot implements stream.Leaser.
 func (l *Leaser) Snapshot() stream.Solution {
-	sol := stream.Solution{
-		Leases:      make([]stream.ItemLease, len(l.leases)),
-		Assignments: make([]stream.Assignment, len(l.assignments)),
-	}
-	copy(sol.Leases, l.leases)
-	copy(sol.Assignments, l.assignments)
-	stream.SortItemLeases(sol.Leases)
-	return sol
+	return stream.Solution{Leases: l.log.Leases(), Assignments: append([]stream.Assignment{}, l.assigns...)}
 }

@@ -7,9 +7,9 @@ package server_test
 // every tenant's processed count matches what it sent (no duplicates
 // from re-submitting an accepted prefix, no drops from skipping an
 // unaccepted suffix), and each recorded run stays byte-identical to a
-// single-threaded Replay. This is the load-ramp failure mode the
-// leaseload -ramp harness leans on: past the knee, correctness must
-// degrade to waiting, never to wrong answers.
+// single-threaded Replay. This is the failure mode a stepped leaseload
+// run (-step-tenants) leans on: past the knee, correctness must degrade
+// to waiting, never to wrong answers.
 
 import (
 	"context"

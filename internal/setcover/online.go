@@ -29,6 +29,7 @@ type Online struct {
 	frac   map[SetLease]float64
 	mu     map[SetLease]float64
 	bought map[SetLease]struct{}
+	log    []SetLease // bought, in buy order: append-only
 	// usedByElem tracks, per element, the sets counted for earlier arrivals
 	// (PerElement scope only).
 	usedByElem map[int]map[int]bool
@@ -91,6 +92,7 @@ func (o *Online) buy(sl SetLease) bool {
 		return false
 	}
 	o.bought[sl] = struct{}{}
+	o.log = append(o.log, sl)
 	o.total += o.inst.Costs[sl.Set][sl.K]
 	return true
 }
@@ -217,13 +219,14 @@ func (o *Online) Fallbacks() int { return o.fallbacks }
 // Bought returns the leased triples in canonical (set, type, start)
 // order, so snapshots built from it are identical across runs.
 func (o *Online) Bought() []SetLease {
-	out := make([]SetLease, 0, len(o.bought))
-	for sl := range o.bought {
-		out = append(out, sl)
-	}
+	out := append([]SetLease{}, o.log...)
 	SortSetLeases(out)
 	return out
 }
+
+// BoughtSince returns the triples leased after the first n, in buy
+// order. The slice aliases the purchase log; callers must not mutate it.
+func (o *Online) BoughtSince(n int) []SetLease { return o.log[n:] }
 
 // VerifyFeasible replays the instance stream against the final solution and
 // checks every arrival is covered by the required number of distinct sets.

@@ -8,18 +8,22 @@ import (
 
 // Leaser adapts the set-multicover Online algorithm to the unified stream
 // protocol. Items are set indices; every Element payload is delegated to
-// the native Arrive and the purchase set is diffed into the decision.
+// the native Arrive and the decision is read off the purchase log.
 type Leaser struct {
-	alg      *Online
-	seen     map[SetLease]struct{}
-	lastCost float64
+	alg *Online
+	log *stream.Journal[SetLease]
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a set-multicover algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[SetLease]struct{})}
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.BoughtSince, SetLease.Triple)}
+}
+
+// Triple returns the set lease as the stream protocol's (i, k, t) triple.
+func (sl SetLease) Triple() stream.ItemLease {
+	return stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start}
 }
 
 // Observe implements stream.Leaser. It accepts Element payloads.
@@ -31,22 +35,7 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Arrive(ev.Time, p.Elem, p.P); err != nil {
 		return stream.Decision{}, err
 	}
-	// A demand served by existing leases left the total bit-identical;
-	// skip the O(L) purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	for sl := range l.alg.bought {
-		if _, ok := l.seen[sl]; ok {
-			continue
-		}
-		l.seen[sl] = struct{}{}
-		d.Leases = append(d.Leases, stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start})
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
+	return l.log.Decision(l.alg.TotalCost()), nil
 }
 
 // Cost implements stream.Leaser.
@@ -55,12 +44,4 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 }
 
 // Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	bought := l.alg.Bought()
-	sol := stream.Solution{Leases: make([]stream.ItemLease, len(bought))}
-	for i, sl := range bought {
-		sol.Leases[i] = stream.ItemLease{Item: sl.Set, K: sl.K, Start: sl.Start}
-	}
-	stream.SortItemLeases(sol.Leases)
-	return sol
-}
+func (l *Leaser) Snapshot() stream.Solution { return stream.Solution{Leases: l.log.Leases()} }

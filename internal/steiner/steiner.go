@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"leasing/internal/core"
 	"leasing/internal/graph"
 	"leasing/internal/lease"
 	"leasing/internal/parking"
@@ -75,6 +76,7 @@ func edgeConfig(cfg *lease.Config, weight float64) *lease.Config {
 type Online struct {
 	inst    *Instance
 	perEdge []*parking.Deterministic
+	log     []core.ItemLease // every edge's purchases in buy order: append-only
 	total   float64
 	lastT   int64
 	started bool
@@ -124,11 +126,14 @@ func (o *Online) Serve(r Request) error {
 		if o.perEdge[e].Covers(r.Time) {
 			continue
 		}
-		before := o.perEdge[e].TotalCost()
+		before, n := o.perEdge[e].TotalCost(), len(o.perEdge[e].BoughtSince(0))
 		if err := o.perEdge[e].Arrive(r.Time); err != nil {
 			return fmt.Errorf("steiner: edge %d lease: %w", e, err)
 		}
 		o.total += o.perEdge[e].TotalCost() - before
+		for _, ls := range o.perEdge[e].BoughtSince(n) {
+			o.log = append(o.log, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
+		}
 		if !o.perEdge[e].Covers(r.Time) {
 			return fmt.Errorf("steiner: edge %d still inactive after leasing", e)
 		}
@@ -148,6 +153,11 @@ func (o *Online) Run() error {
 
 // TotalCost returns the accumulated leasing cost.
 func (o *Online) TotalCost() float64 { return o.total }
+
+// BoughtSince returns the edge leases bought after the first n, in buy
+// order, as (edge, type, start) triples. The slice aliases the purchase
+// log; callers must not mutate it.
+func (o *Online) BoughtSince(n int) []core.ItemLease { return o.log[n:] }
 
 // Connected reports whether s and t are connected by edges active at time
 // tm — the feasibility predicate.

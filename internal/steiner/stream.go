@@ -12,16 +12,15 @@ import (
 // unified stream protocol. Items are edge indices; each Connect payload is
 // one communication request.
 type Leaser struct {
-	alg      *Online
-	seen     map[core.ItemLease]struct{}
-	lastCost float64
+	alg *Online
+	log *stream.Journal[core.ItemLease]
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
 
 // NewLeaser wraps a Steiner-tree-leasing algorithm as a stream.Leaser.
 func NewLeaser(alg *Online) *Leaser {
-	return &Leaser{alg: alg, seen: make(map[core.ItemLease]struct{})}
+	return &Leaser{alg: alg, log: stream.NewJournal(alg.BoughtSince, stream.Identity)}
 }
 
 // Observe implements stream.Leaser. It accepts Connect payloads.
@@ -33,22 +32,7 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	if err := l.alg.Serve(Request{Time: ev.Time, S: p.S, T: p.T}); err != nil {
 		return stream.Decision{}, err
 	}
-	// A request routed over active edges left the total bit-identical;
-	// skip the all-edges purchase-set diff.
-	if l.alg.TotalCost() == l.lastCost {
-		return stream.Decision{}, nil
-	}
-	d := stream.Decision{Cost: l.alg.TotalCost() - l.lastCost}
-	l.lastCost = l.alg.TotalCost()
-	for _, il := range l.alg.EdgeLeases() {
-		if _, ok := l.seen[il]; ok {
-			continue
-		}
-		l.seen[il] = struct{}{}
-		d.Leases = append(d.Leases, il)
-	}
-	stream.SortItemLeases(d.Leases)
-	return d, nil
+	return l.log.Decision(l.alg.TotalCost()), nil
 }
 
 // Cost implements stream.Leaser.
@@ -57,22 +41,7 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 }
 
 // Snapshot implements stream.Leaser.
-func (l *Leaser) Snapshot() stream.Solution {
-	return stream.Solution{Leases: l.alg.EdgeLeases()}
-}
-
-// EdgeLeases returns every lease bought across the per-edge parking
-// permits as (edge, type, start) triples, sorted by (edge, type, start).
-func (o *Online) EdgeLeases() []core.ItemLease {
-	var out []core.ItemLease
-	for e, alg := range o.perEdge {
-		for _, ls := range alg.Leases() {
-			out = append(out, core.ItemLease{Item: e, K: ls.K, Start: ls.Start})
-		}
-	}
-	stream.SortItemLeases(out)
-	return out
-}
+func (l *Leaser) Snapshot() stream.Solution { return stream.Solution{Leases: l.log.Leases()} }
 
 // Events converts requests into Connect events.
 func Events(reqs []Request) []stream.Event {

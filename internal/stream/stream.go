@@ -12,15 +12,20 @@
 //     Decisions, with cumulative cost accounting and a solution snapshot.
 //
 // Each domain package (internal/parking, internal/setcover,
-// internal/facility, internal/deadline, internal/steiner) provides a thin
-// adapter from its native algorithm to this protocol; the generic driver
-// in this package (Replay, Interleave) then works over every domain
-// uniformly, which is what the experiment harness, cmd/leasesim and the
-// conformance suite build on.
+// internal/facility, internal/deadline, internal/steiner,
+// internal/reusable) adapts its native algorithm to this protocol under
+// one contract. The algorithm keeps an append-only purchase log, since it
+// never refunds a triple; the Decision for an event is the log's tail
+// since the previous event, and the Snapshot is the whole log, sorted.
+// Journal implements that contract once for every adapter. The generic
+// driver in this package (Replay, Interleave) then works over every
+// domain uniformly, which is what the experiment harness, cmd/leasesim
+// and the conformance suite build on.
 package stream
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"leasing/internal/core"
 	"leasing/internal/metric"
@@ -138,9 +143,11 @@ type Solution struct {
 }
 
 // Leaser is the unified protocol: demands stream in as Events, purchases
-// stream out as Decisions. Implementations are the thin per-domain
-// adapters; they reject events whose payload type they do not understand
-// and require non-decreasing event times.
+// stream out as Decisions. Implementations are the per-domain adapters;
+// they reject events whose payload type they do not understand and
+// require non-decreasing event times. Each serves its algorithm's
+// append-only purchase log through a Journal: a Decision is the log's
+// tail since the previous event, and a Snapshot is the whole log, sorted.
 type Leaser interface {
 	// Observe processes one demand and returns what was bought for it.
 	Observe(Event) (Decision, error)
@@ -153,13 +160,13 @@ type Leaser interface {
 // SortItemLeases orders triples by (item, type, start), the canonical
 // order of Decision and Solution lease lists.
 func SortItemLeases(ls []ItemLease) {
-	sort.Slice(ls, func(a, b int) bool {
-		if ls[a].Item != ls[b].Item {
-			return ls[a].Item < ls[b].Item
+	slices.SortFunc(ls, func(a, b ItemLease) int {
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
 		}
-		if ls[a].K != ls[b].K {
-			return ls[a].K < ls[b].K
+		if c := cmp.Compare(a.K, b.K); c != 0 {
+			return c
 		}
-		return ls[a].Start < ls[b].Start
+		return cmp.Compare(a.Start, b.Start)
 	})
 }

@@ -7,7 +7,10 @@ import (
 )
 
 // ParkingPermitAlgorithm is an online algorithm for the parking permit
-// problem: demands are days that must be covered by a lease.
+// problem: demands are days that must be covered by a lease. Besides
+// Leases, an implementation exposes its append-only purchase log through
+// BoughtSince(n), the leases bought after the first n in buy order,
+// which NewParkingStream reads its decisions from.
 type ParkingPermitAlgorithm = parking.Algorithm
 
 // NewDeterministicParkingPermit returns the deterministic primal-dual

@@ -139,6 +139,8 @@ func ElementWindowEvents(arrivals []SCLDArrival) []Event { return deadline.SCLDE
 
 // NewParkingStream wraps any parking-permit algorithm (deterministic,
 // randomized or predictive) as a unified Leaser consuming Day events.
+// Each Decision is the tail of the algorithm's BoughtSince log, so an
+// implementation must append every purchase to it.
 func NewParkingStream(alg ParkingPermitAlgorithm) Leaser { return parking.NewLeaser(alg) }
 
 // NewSetCoverStream builds the Chapter 3 randomized algorithm for inst as

@@ -10,6 +10,7 @@ package leasing_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -133,6 +134,39 @@ func conformanceCases(t *testing.T) []conformanceCase {
 			}
 			return lsr, func(sol leasing.Solution) error {
 				return leasing.VerifySetCover(scInst, leasing.SolutionSetLeases(sol))
+			}
+		},
+	}
+
+	// A purchase whose cost the float total absorbs: 1e6 + 1e-11 == 1e6,
+	// so the second demand's set shows up in no cost delta, yet it must
+	// still show up in its Decision.
+	absorbCfg, err := leasing.NewLeaseConfig(leasing.LeaseType{Length: 1, Cost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorbFam, err := leasing.NewSetFamily(2, [][]int{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorbArrivals := []leasing.ElementArrival{{T: 0, Elem: 0, P: 1}, {T: 1, Elem: 1, P: 1}}
+	absorbInst, err := leasing.NewSetCoverInstance(absorbFam, absorbCfg, [][]float64{{1e6}, {1e-11}}, absorbArrivals, leasing.PerArrival)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setcoverAbsorbed := conformanceCase{
+		name:         "setcover-absorbed-cost",
+		domain:       wire.DomainSetCover,
+		seed:         5,
+		events:       leasing.ElementEvents(absorbArrivals),
+		wrongPayload: leasing.WindowEvent(40, 1),
+		fresh: func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
+			lsr, err := leasing.NewSetCoverStream(absorbInst, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lsr, func(sol leasing.Solution) error {
+				return leasing.VerifySetCover(absorbInst, leasing.SolutionSetLeases(sol))
 			}
 		},
 	}
@@ -290,7 +324,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 	}
 
-	return []conformanceCase{parking, parkingRand, setcover, facility, deadline, scld, steiner, reusable, reusablePred}
+	return []conformanceCase{parking, parkingRand, setcover, setcoverAbsorbed, facility, deadline, scld, steiner, reusable, reusablePred}
 }
 
 // TestLeaserConformance asserts the protocol contract for every domain.
@@ -369,6 +403,34 @@ func TestLeaserConformance(t *testing.T) {
 			lsr3, _ := tc.build(t)
 			if _, err := lsr3.Observe(tc.wrongPayload); err == nil {
 				t.Error("unsupported payload accepted")
+			}
+		})
+	}
+}
+
+// TestLeaserEmptySnapshotShape pins the shape of a fresh leaser's
+// snapshot: an empty, non-nil lease list in every domain (so the wire
+// encodes "leases":[]), and a non-nil assignment list exactly in the
+// domains that assign.
+func TestLeaserEmptySnapshotShape(t *testing.T) {
+	assigns := map[string]bool{wire.DomainFacility: true, wire.DomainReusable: true}
+	for _, tc := range conformanceCases(t) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			lsr, _ := tc.build(t)
+			sol := lsr.Snapshot()
+			if sol.Leases == nil || len(sol.Leases) != 0 {
+				t.Errorf("leases = %#v, want empty and non-nil", sol.Leases)
+			}
+			if got := sol.Assignments != nil; got != assigns[tc.domain] || len(sol.Assignments) != 0 {
+				t.Errorf("assignments = %#v, want empty and non-nil = %v", sol.Assignments, assigns[tc.domain])
+			}
+			js, err := json.Marshal(wire.FromStreamSolution(sol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(js, []byte(`"leases":[]`)) {
+				t.Errorf("wire snapshot %s, want \"leases\":[]", js)
 			}
 		})
 	}
