@@ -75,9 +75,10 @@
 // NewEngine starts the sharded serving layer over the same protocol: many
 // independent tenant sessions (one Leaser each) hashed across shards,
 // each shard draining a batched, backpressured event queue on its own
-// goroutine, with cached Cost/Snapshot reads and per-shard Metrics. Per
-// tenant the engine is exactly Replay — its output is byte-identical to
-// a single-threaded replay for any shard count and batch size.
+// goroutine, with cached Cost reads, Snapshot reads computed on the
+// shard in queue order, and per-shard Metrics. Per tenant the engine is
+// exactly Replay — its output is byte-identical to a single-threaded
+// replay for any shard count and batch size.
 // cmd/leaseload load-tests it with mixed-domain tenant traffic; see
 // docs/ARCHITECTURE.md for the layering.
 //

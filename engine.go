@@ -4,8 +4,9 @@ package leasing
 // over one demand stream on one goroutine, the Engine multiplexes many
 // independent tenant sessions: each tenant is hashed to a shard, each
 // shard drains a batched, backpressured event queue on its own goroutine,
-// and Cost/Snapshot/Result serve from cached state without touching a
-// Leaser. Per tenant the engine is exactly Replay — its recorded output
+// Cost/Events/Result serve from O(1) state each shard publishes per batch,
+// and Snapshot is computed on the tenant's shard goroutine behind its
+// queued work. Per tenant the engine is exactly Replay — its recorded output
 // is byte-identical to a single-threaded Replay of that tenant's events
 // for any shard count and batch size (internal/engine's parity tests
 // enforce this). cmd/leaseload measures the layer's sustained throughput;

@@ -5,12 +5,15 @@
 //
 // The design is single-writer throughout. A tenant is hashed (FNV-1a) to
 // exactly one shard, so a tenant's events are processed in submission
-// order by one goroutine and no lock ever guards a Leaser: within a shard
-// the only synchronization is the ingestion channel itself (whose bounded
-// capacity is the backpressure) and atomically published snapshots.
-// Readers never touch a Leaser: Cost, Snapshot, Events and Result serve
-// from per-session state the shard publishes after each processed batch,
-// and the session registry is a copy-on-write map republished on Open.
+// order by one goroutine and no lock ever guards a live Leaser: within a
+// shard the only synchronization is the ingestion channel itself (whose
+// bounded capacity is the backpressure) and atomically published read
+// state.
+// Readers never touch a live Leaser. Cost, Events and Result serve from
+// O(1) per-session state the shard publishes after each processed batch;
+// Snapshot travels through the tenant's shard queue and is computed on
+// the shard goroutine when it arrives. The session registry is a
+// copy-on-write map republished on Open.
 //
 // Because each session is driven by the same stream.Recorder that powers
 // the single-threaded Replay driver, a tenant's recorded run is
@@ -92,8 +95,10 @@ type Config struct {
 	// operations; a full queue blocks Submit (backpressure). Default 256.
 	QueueDepth int
 	// BatchSize caps how many events a shard drains per processing wake;
-	// cached read state is republished once per batch, so BatchSize
-	// trades read freshness for ingestion throughput. Default 64.
+	// the O(1) read state behind Cost, Events and Result is republished
+	// once per batch, so BatchSize trades their freshness for ingestion
+	// throughput. Snapshot is computed per read, behind queued work.
+	// Default 64.
 	BatchSize int
 	// RecordRuns keeps each session's full decision list and cost curve
 	// so Result can return the per-tenant *stream.Run (what the parity
@@ -135,6 +140,7 @@ type Engine struct {
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
+	readMu sync.Mutex // serializes post-Close Snapshot reads of leasers
 }
 
 // New starts an engine with cfg's shard goroutines running. Callers must
@@ -411,7 +417,7 @@ func (e *Engine) Restore(sessions []Restored) error {
 
 // Flush blocks until every event submitted before the call has been
 // processed and its session state published. It is the read barrier:
-// after Flush, Cost/Snapshot/Result reflect all prior submissions.
+// after Flush, Cost/Events/Result reflect all prior submissions.
 func (e *Engine) Flush() error {
 	done := make(chan error, len(e.shards))
 	sent := 0
@@ -488,21 +494,34 @@ func (e *Engine) Events(tenant string) (int64, error) {
 	return st.events, st.err
 }
 
-// Snapshot returns the tenant's cached solution snapshot, current as of
-// the last batch its shard processed (Flush to synchronize).
+// Snapshot computes the tenant's solution snapshot on demand. The read
+// travels through the tenant's shard queue like Flush, so it waits
+// behind the work queued before it and covers every event submitted for
+// the tenant before the call; it costs O(p log p) for p purchases. After
+// Close the drained leaser is read directly. If the session failed, the
+// snapshot at failure is returned with the error.
 func (e *Engine) Snapshot(tenant string) (stream.Solution, error) {
 	s, err := e.session(tenant)
 	if err != nil {
 		return stream.Solution{}, err
 	}
-	st := s.state.Load()
-	return st.solution, st.err
+	var sol stream.Solution
+	done := make(chan error, 1)
+	if e.send(e.shardFor(tenant), op{kind: opSnapshot, tenant: tenant, sol: &sol, done: done}) == nil {
+		err = <-done
+		return sol, err
+	}
+	// Closed: once the shards have exited nothing else drives the leaser.
+	e.wg.Wait()
+	e.readMu.Lock()
+	defer e.readMu.Unlock()
+	return s.leaser.Snapshot(), s.err
 }
 
 // Result returns the tenant's recorded run — decisions, cost curve and
 // final breakdown — as Replay would have produced it. It requires
-// Config.RecordRuns and, like all reads, is current as of the last
-// processed batch.
+// Config.RecordRuns and, like Cost and Events, is current as of the
+// last processed batch.
 func (e *Engine) Result(tenant string) (*stream.Run, error) {
 	if !e.cfg.RecordRuns {
 		return nil, ErrNotRecording

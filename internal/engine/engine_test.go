@@ -93,6 +93,12 @@ func TestEngineClosed(t *testing.T) {
 	if cost.Total() <= 0 {
 		t.Errorf("cost after close = %v, want > 0", cost.Total())
 	}
+	// So do snapshot reads, which read the drained leaser.
+	ref := parkingLeaser(t)
+	if _, err := stream.Replay(ref, []stream.Event{leasing.DayEvent(0)}); err != nil {
+		t.Fatal(err)
+	}
+	readSnapshotsConcurrently(t, eng, map[string]stream.Solution{"a": ref.Snapshot()})
 }
 
 func TestEngineSessionFailure(t *testing.T) {

@@ -254,6 +254,7 @@ func TestEngineParityWithReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 
+				snaps := make(map[string]stream.Solution, len(cases))
 				for _, tc := range cases {
 					got, err := eng.Result(tc.name)
 					if err != nil {
@@ -293,8 +294,9 @@ func TestEngineParityWithReplay(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(sol, ref.Snapshot()) {
-						t.Errorf("%s: cached snapshot differs from replay snapshot", tc.name)
+					snaps[tc.name] = ref.Snapshot()
+					if !reflect.DeepEqual(sol, snaps[tc.name]) {
+						t.Errorf("%s: snapshot differs from replay snapshot", tc.name)
 					}
 				}
 
@@ -305,7 +307,30 @@ func TestEngineParityWithReplay(t *testing.T) {
 				if _, err := eng.Cost(cases[0].name); err != nil {
 					t.Errorf("cost after close: %v", err)
 				}
+				readSnapshotsConcurrently(t, eng, snaps)
 			})
 		}
 	}
+}
+
+// readSnapshotsConcurrently reads every tenant's Snapshot from two
+// goroutines at once and compares each read with want.
+func readSnapshotsConcurrently(t *testing.T, eng *engine.Engine, want map[string]stream.Solution) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tenant, w := range want {
+				got, err := eng.Snapshot(tenant)
+				if err != nil {
+					t.Errorf("%s: snapshot: %v", tenant, err)
+				} else if !reflect.DeepEqual(got, w) {
+					t.Errorf("%s: snapshot differs from replay snapshot", tenant)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,32 +15,36 @@ const (
 	opOpen opKind = iota + 1
 	opEvents
 	opFlush
+	opSnapshot
 	opClose
 	opStop
 )
 
-// op is one queued operation. Open and Flush carry a reply channel;
-// Events carries the payload. The queue is strictly FIFO, which is what
-// makes Open a write barrier and Flush a read barrier.
+// op is one queued operation. Open, Flush, Snapshot and Close carry a
+// reply channel; Events carries the payload. The queue is strictly FIFO,
+// which is what makes Open a write barrier and Flush and Snapshot read
+// barriers.
 type op struct {
 	kind    opKind
 	tenant  string
 	leaser  stream.Leaser
 	events  []stream.Event
-	spec    []byte // open spec to WAL-log during install; nil = don't log
-	nolog   bool   // close op: skip WAL logging (Restore replays)
-	release func() // events op: called once the shard is done with events
+	spec    []byte           // open spec to WAL-log during install; nil = don't log
+	nolog   bool             // close op: skip WAL logging (Restore replays)
+	release func()           // events op: called once the shard is done with events
+	sol     *stream.Solution // snapshot op: filled in before done is sent
 	done    chan error
 }
 
 // sessionState is the immutable read view a shard publishes for a
-// session after each batch that touched it. Decisions and curve are
-// length-capped snapshot headers into the Recorder's backing arrays (see
-// Recorder.Recorded), so publishing is O(1) and race-free under appends.
+// session after each batch that touched it. It holds only O(1) parts:
+// decisions and curve are length-capped snapshot headers into the
+// Recorder's backing arrays (see Recorder.Recorded), race-free under
+// appends. The solution is not published; Engine.Snapshot computes it
+// on the shard goroutine when asked.
 type sessionState struct {
 	events    int64
 	cost      stream.CostBreakdown
-	solution  stream.Solution
 	decisions []stream.Decision
 	curve     []stream.CurvePoint
 	closed    bool // sealed; the shard drops further events
@@ -48,8 +52,8 @@ type sessionState struct {
 }
 
 // session is one tenant's serving state. The leaser and recorder are
-// owned exclusively by the shard goroutine; everyone else reads the
-// published state.
+// owned exclusively by the shard goroutine while it runs; everyone else
+// reads the published state or asks the shard for a snapshot.
 type session struct {
 	tenant string
 	leaser stream.Leaser
@@ -63,11 +67,10 @@ type session struct {
 // publish refreshes the session's read view from its leaser.
 func (s *session) publish(keepRuns bool) {
 	st := &sessionState{
-		events:   int64(s.rec.Events()),
-		cost:     s.leaser.Cost(),
-		solution: s.leaser.Snapshot(),
-		closed:   s.closed,
-		err:      s.err,
+		events: int64(s.rec.Events()),
+		cost:   s.leaser.Cost(),
+		closed: s.closed,
+		err:    s.err,
 	}
 	if keepRuns {
 		st.decisions, st.curve = s.rec.Recorded()
@@ -156,6 +159,14 @@ func (sh *shard) run(done interface{ Done() }) {
 				// publish before acking so the barrier covers reads.
 				sh.publish(touched)
 				o.done <- nil
+			case opSnapshot:
+				// Every op queued for the tenant before this one has been
+				// applied, so the snapshot covers them; publish first so
+				// Cost and Events are no older than the snapshot.
+				sh.publish(touched)
+				s := sh.sessions[o.tenant]
+				*o.sol = s.leaser.Snapshot()
+				o.done <- s.err
 			case opClose:
 				o.done <- sh.close(o.tenant, o.nolog, touched)
 			case opStop:

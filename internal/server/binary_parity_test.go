@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -84,8 +85,8 @@ func TestRemoteParityBinary(t *testing.T) {
 				t.Fatalf("%s: binary submit: %v", tc.name, err)
 			}
 		} else {
-			if n, err := cli.SubmitNDJSON(ctx, tc.name, wevs); err != nil || n != len(wevs) {
-				t.Fatalf("%s: binary chunked submit: accepted %d, err %v", tc.name, n, err)
+			if err := submitChunked(ctx, cli, tc.name, wevs); err != nil {
+				t.Fatalf("%s: binary chunked submit: %v", tc.name, err)
 			}
 		}
 	}
@@ -114,6 +115,32 @@ func TestRemoteParityBinary(t *testing.T) {
 		}
 		if n != int64(len(tc.events)) {
 			t.Errorf("%s: processed %d events over binary, want %d", tc.name, n, len(tc.events))
+		}
+	}
+}
+
+// submitChunked drives SubmitNDJSON by its contract: the call does not
+// retry, so on backpressure it flushes and resubmits the events after
+// the accepted count. Three attempts in a row that accept nothing fail
+// at once, so a server stuck on backpressure cannot hang the test.
+func submitChunked(ctx context.Context, cli *client.Client, tenant string, wevs []wire.Event) error {
+	for stalls := 0; ; {
+		n, err := cli.SubmitNDJSON(ctx, tenant, wevs)
+		if err == nil && n == len(wevs) {
+			return nil
+		}
+		var apiErr *wire.Error
+		if err == nil || !errors.As(err, &apiErr) || apiErr.Code != wire.CodeBackpressure {
+			return fmt.Errorf("accepted %d of %d, err %v", n, len(wevs), err)
+		}
+		if n > 0 {
+			stalls = 0
+		} else if stalls++; stalls == 3 {
+			return fmt.Errorf("%d attempts in a row accepted 0 events: %w", stalls, err)
+		}
+		wevs = wevs[n:]
+		if err := cli.Flush(ctx, tenant); err != nil {
+			return err
 		}
 	}
 }

@@ -98,6 +98,12 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("open: status %d, body %s", status, body)
 	}
 
+	// A just-opened tenant serves its leaser's own empty snapshot.
+	status, body = do(t, ts, call{method: "GET", path: "/v1/tenants/acme/snapshot"})
+	if status != http.StatusOK || !bytes.Contains(body, []byte(`"leases":[]`)) {
+		t.Fatalf("snapshot after open: status %d body %s, want \"leases\":[]", status, body)
+	}
+
 	status, body = do(t, ts, call{method: "POST", path: "/v1/tenants/acme/events",
 		contentType: "application/json", body: mustJSON(t, dayEvents(0, 1, 2, 3))})
 	if status != http.StatusOK {

@@ -35,8 +35,8 @@ func (j *Journal[T]) Decision(total float64) Decision {
 }
 
 // Leases returns the whole log as sorted triples, the Snapshot's lease
-// list. The slice is fresh and never nil: the engine publishes it to
-// concurrent readers while the log keeps growing.
+// list. The slice is fresh and never nil: the engine hands it to a
+// reader on another goroutine while the log keeps growing.
 func (j *Journal[T]) Leases() []ItemLease { return j.sorted(j.since(0)) }
 
 func (j *Journal[T]) sorted(entries []T) []ItemLease {

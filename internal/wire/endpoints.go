@@ -264,6 +264,11 @@ func Endpoints() []Endpoint {
 			Summary: "Read the tenant's current solution snapshot.",
 			Request: nil, Response: Solution{},
 			Errors: []string{CodeUnknownTenant, CodeSessionFailed},
+			Notes: "Not cached: each read is queued behind the tenant's pending " +
+				"work and computed by its shard, at O(p log p) for p purchases, so " +
+				"it covers every event submitted before it without a flush. A " +
+				"tenant with no applied events returns its algorithm's empty " +
+				"snapshot (an empty leases list).",
 		},
 		{
 			Name:    "result",
