@@ -1,10 +1,10 @@
 // Command leased is the network-facing lease service: an HTTP/JSON
 // daemon fronting the sharded multi-tenant engine. Remote tenants open
-// sessions from full instance specs, stream demands in (JSON arrays or
-// NDJSON, or — negotiated per request via Content-Type/Accept — the
-// compact application/x-lease-binary framing, which the daemon decodes
-// on a pooled zero-allocation path), and read costs, snapshots and
-// recorded runs back; shard-queue
+// sessions from full instance specs, stream demands in (JSON arrays —
+// the trace format cmd/leasegen writes — or NDJSON, or, chosen per
+// request by Content-Type, the compact application/x-lease-binary
+// framing, which the daemon decodes on a pooled zero-allocation path),
+// and read costs, snapshots and recorded runs back as JSON; shard-queue
 // backpressure surfaces as 429s and SIGINT/SIGTERM triggers a graceful
 // drain (stop accepting requests, process everything queued, publish
 // final state, exit 0). With -data-dir the daemon is durable: every

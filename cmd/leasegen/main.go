@@ -1,5 +1,7 @@
-// Command leasegen generates synthetic demand traces in the repository's
-// JSON trace format, for use with leasesim.
+// Command leasegen generates synthetic demand traces for leasesim. A
+// trace is a JSON array of wire events — day, window or element — the
+// body POST /v1/tenants/{tenant}/events takes by default, so a trace
+// file can also be posted to a running leased unchanged.
 //
 // Usage:
 //
@@ -9,11 +11,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
+	"leasing"
 	"leasing/internal/workload"
 )
 
@@ -40,21 +44,21 @@ func run(args []string) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(*seed))
-	tr := &workload.Trace{Kind: *kind}
+	var events []leasing.Event
 	switch *kind {
-	case workload.KindDays:
+	case "days":
 		if *bursty {
-			tr.Days = workload.BurstyDays(rng, *horizon, 0.92)
+			events = leasing.DayEvents(workload.BurstyDays(rng, *horizon, 0.92))
 		} else {
-			tr.Days = workload.DemandDays(rng, *horizon, *p)
+			events = leasing.DayEvents(workload.DemandDays(rng, *horizon, *p))
 		}
-	case workload.KindDeadline:
-		tr.Deadline = workload.DeadlineStream(rng, *horizon, *p, *dmax)
-	case workload.KindElements:
+	case "deadline":
+		events = leasing.WindowEvents(workload.DeadlineStream(rng, *horizon, *p, *dmax))
+	case "elements":
 		if *n < 1 {
 			return fmt.Errorf("need -n >= 1, got %d", *n)
 		}
-		tr.Elements = workload.ElementStream(rng, *horizon, *p,
+		events = leasing.ElementEvents(workload.ElementStream(rng, *horizon, *p,
 			func() int { return rng.Intn(*n) },
 			func() int {
 				if *pmax <= 1 {
@@ -62,9 +66,13 @@ func run(args []string) error {
 				}
 				return 1 + rng.Intn(*pmax)
 			},
-		)
+		))
 	default:
 		return fmt.Errorf("unknown kind %q (want days, deadline, or elements)", *kind)
 	}
-	return workload.WriteTrace(os.Stdout, tr)
+	wevs, err := leasing.WireEvents(events)
+	if err != nil {
+		return err
+	}
+	return json.NewEncoder(os.Stdout).Encode(wevs)
 }

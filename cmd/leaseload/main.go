@@ -18,8 +18,8 @@
 //     already-running daemon instead (it must run with -record for
 //     -verify), and -leased spawns the N daemons as processes of a
 //     built leased binary. Daemons are driven through the ring-routing
-//     cluster client; -binary makes it submit and read results over the
-//     application/x-lease-binary framing.
+//     cluster client; -binary makes it submit over the
+//     application/x-lease-binary framing (reads stay JSON).
 //   - Durability. -wal off|nosync|fsync gives every engine a
 //     write-ahead log, without or with an fsync before each
 //     acknowledgement.
@@ -279,7 +279,7 @@ func run(args []string, w io.Writer) error {
 	fs.IntVar(&c.nodes, "nodes", 0, "target: 0 drives the in-process engine; N >= 1 starts N loopback daemons, replicated through a cluster client when N >= 2")
 	fs.StringVar(&c.addr, "addr", "", "target: base URL of one running leased daemon, instead of starting any")
 	fs.StringVar(&c.leased, "leased", "", "target: spawn the -nodes daemons as processes of this built leased binary")
-	fs.BoolVar(&c.binary, "binary", false, "on daemons: submit events and read results over the binary wire framing (application/x-lease-binary) instead of JSON")
+	fs.BoolVar(&c.binary, "binary", false, "on daemons: submit events over the binary wire framing (application/x-lease-binary) instead of JSON; reads stay JSON")
 	fs.StringVar(&c.wal, "wal", "off", "durability of every engine: off, nosync (write-ahead log without fsync) or fsync (fsync before acknowledging)")
 	fs.BoolVar(&c.kill, "kill", false, "fault: SIGKILL the spawned node owning the most tenants once half the events are acknowledged, restart it (one node) or fail its tenants over (a cluster), resume every tenant and verify it against Replay")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")

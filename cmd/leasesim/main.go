@@ -1,8 +1,11 @@
 // Command leasesim replays demand traces (see leasegen) through the
 // unified streaming Leaser API and reports the online cost next to the
 // offline optimum and the resulting empirical competitive ratio. It is
-// built entirely on the public leasing package: traces become Events,
-// every algorithm is a Leaser, and one generic Replay drives them all.
+// built entirely on the public leasing package: a trace is a JSON array
+// of wire events read with ReadEvents, every algorithm is a Leaser, and
+// one generic Replay drives them all. The events' kind picks the domain:
+// day (parking permit), window (leasing with deadlines) or element (set
+// multicover); every event of every trace must share it.
 //
 // Usage:
 //
@@ -34,10 +37,10 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("leasesim", flag.ContinueOnError)
 	var (
 		tracePath = fs.String("trace", "", "trace file(s) written by leasegen; comma-separated traces of the same kind are interleaved deterministically")
-		algorithm = fs.String("algorithm", "det", "days traces: det or rand")
+		algorithm = fs.String("algorithm", "det", "day traces: det or rand")
 		k         = fs.Int("k", 3, "number of lease types (power config, base 4, gamma 0.55)")
-		sets      = fs.Int("sets", 20, "elements traces: number of sets")
-		delta     = fs.Int("delta", 3, "elements traces: sets per element")
+		sets      = fs.Int("sets", 20, "element traces: number of sets")
+		delta     = fs.Int("delta", 3, "element traces: sets per element")
 		seed      = fs.Int64("seed", 1, "seed for randomized algorithms and instance generation")
 		curve     = fs.Bool("curve", false, "print the per-event cumulative cost curve")
 	)
@@ -53,18 +56,20 @@ func run(args []string) error {
 		streams [][]leasing.Event
 	)
 	for _, path := range strings.Split(*tracePath, ",") {
-		tr, err := readTrace(path)
+		evs, err := readTrace(path)
 		if err != nil {
 			return err
 		}
-		if kind == "" {
-			kind = tr.Kind
-		} else if kind != tr.Kind {
-			return fmt.Errorf("trace %s has kind %q, want %q (interleaved traces must share a kind)", path, tr.Kind, kind)
-		}
-		evs, err := leasing.TraceEvents(tr)
-		if err != nil {
-			return err
+		for i, ev := range evs {
+			k, err := eventKind(ev)
+			if err != nil {
+				return fmt.Errorf("trace %s: event %d: %w", path, i, err)
+			}
+			if kind == "" {
+				kind = k
+			} else if k != kind {
+				return fmt.Errorf("trace %s: event %d has kind %q, want %q (traces must share one kind)", path, i, k, kind)
+			}
 		}
 		streams = append(streams, evs)
 	}
@@ -96,22 +101,39 @@ func run(args []string) error {
 	return nil
 }
 
-func readTrace(path string) (*leasing.Trace, error) {
+func readTrace(path string) ([]leasing.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return leasing.ReadTrace(f)
+	evs, err := leasing.ReadEvents(f)
+	if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", path, err)
+	}
+	return evs, nil
 }
 
-// buildLeaser constructs the domain Leaser for the trace kind, computes
+// eventKind names an event's wire kind, for the three kinds leasesim
+// can replay.
+func eventKind(ev leasing.Event) (string, error) {
+	switch ev.Payload.(type) {
+	case leasing.DayPayload:
+		return "day", nil
+	case leasing.WindowPayload:
+		return "window", nil
+	case leasing.ElementPayload:
+		return "element", nil
+	}
+	return "", fmt.Errorf("unsupported payload %T (want day, window or element events)", ev.Payload)
+}
+
+// buildLeaser constructs the domain Leaser for the event kind, computes
 // the offline baseline it is measured against, and returns the snapshot
 // verifier closed over the instance the leaser was built on.
 func buildLeaser(cfg *leasing.LeaseConfig, kind string, events []leasing.Event, algorithm string, sets, delta int, rng *rand.Rand) (leasing.Leaser, float64, string, func(leasing.Solution) error, error) {
-	noVerify := func(leasing.Solution) error { return nil }
 	switch kind {
-	case leasing.TraceKindDays:
+	case "day":
 		var alg leasing.ParkingPermitAlgorithm
 		var err error
 		switch algorithm {
@@ -138,7 +160,7 @@ func buildLeaser(cfg *leasing.LeaseConfig, kind string, events []leasing.Event, 
 		}
 		return leasing.NewParkingStream(alg), opt, "", verify, nil
 
-	case leasing.TraceKindDeadline:
+	case "window":
 		in, err := deadlineInstance(cfg, events)
 		if err != nil {
 			return nil, 0, "", nil, err
@@ -156,7 +178,7 @@ func buildLeaser(cfg *leasing.LeaseConfig, kind string, events []leasing.Event, 
 		}
 		return lsr, opt, "", verify, nil
 
-	case leasing.TraceKindElements:
+	case "element":
 		inst, err := elementsInstance(cfg, events, sets, delta, rng)
 		if err != nil {
 			return nil, 0, "", nil, err
@@ -179,7 +201,7 @@ func buildLeaser(cfg *leasing.LeaseConfig, kind string, events []leasing.Event, 
 		return lsr, opt, note, verify, nil
 
 	default:
-		return nil, 0, "", noVerify, fmt.Errorf("unsupported trace kind %q", kind)
+		return nil, 0, "", nil, fmt.Errorf("unsupported event kind %q", kind)
 	}
 }
 
@@ -202,6 +224,9 @@ func elementsInstance(cfg *leasing.LeaseConfig, events []leasing.Event, sets, de
 		e, ok := ev.Payload.(leasing.ElementPayload)
 		if !ok {
 			return nil, fmt.Errorf("event %d is not an element demand", i)
+		}
+		if e.Elem < 0 {
+			return nil, fmt.Errorf("event %d has negative element %d", i, e.Elem)
 		}
 		arrivals = append(arrivals, leasing.ElementArrival{T: ev.Time, Elem: e.Elem, P: e.P})
 		if e.Elem >= n {

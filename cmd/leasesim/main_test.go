@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"leasing"
 )
 
 func captureStdout(t *testing.T, f func() error) (string, error) {
@@ -30,22 +28,19 @@ func captureStdout(t *testing.T, f func() error) (string, error) {
 	return string(out), runErr
 }
 
-func writeTrace(t *testing.T, tr *leasing.Trace) string {
+// writeTrace writes a trace file: a JSON array of wire events, the
+// format leasegen writes and the submit endpoint takes.
+func writeTrace(t *testing.T, body string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := leasing.WriteTrace(f, tr); err != nil {
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 func TestSimulateDays(t *testing.T) {
-	path := writeTrace(t, &leasing.Trace{Kind: leasing.TraceKindDays, Days: []int64{0, 1, 2, 9, 10}})
+	path := writeTrace(t, `[{"time":0,"kind":"day"},{"time":1,"kind":"day"},{"time":2,"kind":"day"},{"time":9,"kind":"day"},{"time":10,"kind":"day"}]`)
 	for _, algo := range []string{"det", "rand"} {
 		out, err := captureStdout(t, func() error {
 			return run([]string{"-trace", path, "-algorithm", algo, "-k", "2"})
@@ -62,10 +57,7 @@ func TestSimulateDays(t *testing.T) {
 }
 
 func TestSimulateDeadline(t *testing.T) {
-	path := writeTrace(t, &leasing.Trace{
-		Kind:     leasing.TraceKindDeadline,
-		Deadline: []leasing.DeadlineClient{{T: 0, D: 4}, {T: 3, D: 0}, {T: 9, D: 2}},
-	})
+	path := writeTrace(t, `[{"time":0,"kind":"window","d":4},{"time":3,"kind":"window"},{"time":9,"kind":"window","d":2}]`)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-trace", path, "-k", "2"})
 	})
@@ -78,12 +70,7 @@ func TestSimulateDeadline(t *testing.T) {
 }
 
 func TestSimulateElements(t *testing.T) {
-	path := writeTrace(t, &leasing.Trace{
-		Kind: leasing.TraceKindElements,
-		Elements: []leasing.ElementArrival{
-			{T: 0, Elem: 0, P: 1}, {T: 2, Elem: 1, P: 1}, {T: 5, Elem: 2, P: 1},
-		},
-	})
+	path := writeTrace(t, `[{"time":0,"kind":"element","p":1},{"time":2,"kind":"element","elem":1,"p":1},{"time":5,"kind":"element","elem":2,"p":1}]`)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-trace", path, "-k", "2", "-sets", "6", "-delta", "2", "-seed", "4"})
 	})
@@ -102,7 +89,7 @@ func TestSimulateErrors(t *testing.T) {
 	if err := run([]string{"-trace", "/nonexistent/file.json"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	path := writeTrace(t, &leasing.Trace{Kind: leasing.TraceKindDays, Days: []int64{1}})
+	path := writeTrace(t, `[{"time":1,"kind":"day"}]`)
 	if err := run([]string{"-trace", path, "-algorithm", "bogus"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
@@ -112,8 +99,8 @@ func TestSimulateErrors(t *testing.T) {
 }
 
 func TestSimulateInterleavedTraces(t *testing.T) {
-	a := writeTrace(t, &leasing.Trace{Kind: leasing.TraceKindDays, Days: []int64{0, 4, 8}})
-	b := writeTrace(t, &leasing.Trace{Kind: leasing.TraceKindDays, Days: []int64{1, 4, 9}})
+	a := writeTrace(t, `[{"time":0,"kind":"day"},{"time":4,"kind":"day"},{"time":8,"kind":"day"}]`)
+	b := writeTrace(t, `[{"time":1,"kind":"day"},{"time":4,"kind":"day"},{"time":9,"kind":"day"}]`)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-trace", a + "," + b, "-k", "2", "-curve"})
 	})
@@ -140,12 +127,64 @@ func TestSimulateInterleavedTraces(t *testing.T) {
 }
 
 func TestSimulateMixedKindsRejected(t *testing.T) {
-	a := writeTrace(t, &leasing.Trace{Kind: leasing.TraceKindDays, Days: []int64{0}})
-	b := writeTrace(t, &leasing.Trace{
-		Kind:     leasing.TraceKindDeadline,
-		Deadline: []leasing.DeadlineClient{{T: 0, D: 1}},
-	})
+	a := writeTrace(t, `[{"time":0,"kind":"day"}]`)
+	b := writeTrace(t, `[{"time":0,"kind":"window","d":1}]`)
 	if err := run([]string{"-trace", a + "," + b}); err == nil {
 		t.Error("mixed trace kinds accepted")
+	}
+}
+
+// TestTraceValidation: a trace the replay cannot honour fails the run
+// with an error, never a panic: an order regression within a file, a
+// negative slack or element, a kind leasesim has no domain for, and a
+// file that mixes kinds.
+func TestTraceValidation(t *testing.T) {
+	bad := map[string]string{
+		"unsorted days":                   `[{"time":5,"kind":"day"},{"time":3,"kind":"day"}]`,
+		"out-of-order deadline clients":   `[{"time":5,"kind":"window","d":1},{"time":1,"kind":"window","d":1}]`,
+		"out-of-order element arrivals":   `[{"time":3,"kind":"element","p":1},{"time":1,"kind":"element","p":1}]`,
+		"negative slack":                  `[{"time":0,"kind":"window","d":-1}]`,
+		"negative element":                `[{"time":0,"kind":"element","elem":-1,"p":1}]`,
+		"negative multiplicity":           `[{"time":0,"kind":"element","p":-1}]`,
+		"unknown kind":                    `[{"time":0,"kind":"bogus"}]`,
+		"kind without a leasesim domain":  `[{"time":0,"kind":"batch"}]`,
+		"file mixing kinds":               `[{"time":0,"kind":"day"},{"time":1,"kind":"window","d":1}]`,
+		"not a JSON array":                `{"kind":"days","days":[1]}`,
+		"garbage":                         `{not json`,
+		"empty array (no demands at all)": `[]`,
+	}
+	for name, body := range bad {
+		t.Run(name, func(t *testing.T) {
+			path := writeTrace(t, body)
+			if _, err := captureStdout(t, func() error {
+				return run([]string{"-trace", path, "-k", "2", "-sets", "6", "-delta", "2"})
+			}); err == nil {
+				t.Errorf("trace %s replayed without error", body)
+			}
+		})
+	}
+}
+
+// TestElementZeroMultiplicityReadsAsOne: "p": 0 (or no p at all) is the
+// wire default, multiplicity 1, so such a trace replays exactly like
+// one that says "p": 1.
+func TestElementZeroMultiplicityReadsAsOne(t *testing.T) {
+	args := func(path string) []string {
+		return []string{"-trace", path, "-k", "2", "-sets", "6", "-delta", "2", "-seed", "4", "-curve"}
+	}
+	var outs []string
+	for _, p := range []string{`"p":0`, `"p":1`} {
+		path := writeTrace(t, `[{"time":0,"kind":"element",`+p+`},{"time":2,"kind":"element","elem":1,`+p+`}]`)
+		out, err := captureStdout(t, func() error { return run(args(path)) })
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf(`"p":0 replayed differently from "p":1:
+%s
+vs
+%s`, outs[0], outs[1])
 	}
 }

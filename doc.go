@@ -66,9 +66,10 @@
 // current Solution for verification. The generic driver replays any
 // demand stream through any Leaser (Replay) with per-event cost curves
 // and ratio-vs-offline tracking, and merges multiple streams
-// deterministically (Interleave). Traces written by cmd/leasegen convert
-// to events via TraceEvents; cmd/leasesim and the whole experiment
-// registry run on this one code path.
+// deterministically (Interleave). Traces written by cmd/leasegen are
+// JSON arrays of wire events, the submit endpoint's default body;
+// ReadEvents turns one into events, and cmd/leasesim and the whole
+// experiment registry run on this one code path.
 //
 // # The multi-tenant engine
 //

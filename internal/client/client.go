@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"leasing/internal/stream"
 	"leasing/internal/wire"
 )
 
@@ -44,12 +43,12 @@ type Options struct {
 	// MaxRetries caps consecutive no-progress 429 retries before Submit
 	// gives up. Default 20.
 	MaxRetries int
-	// Binary switches the submit and result paths to the binary framing
+	// Binary switches the submit framing to binary
 	// (wire.ContentTypeBinary): Submit and SubmitNDJSON encode events as
-	// length-prefixed binary frames into pooled buffers, and Result asks
-	// for (and decodes) the binary run encoding. Every other endpoint
-	// stays JSON. The decoded values are identical either way — the
-	// binary encoding is exact — so Binary is purely a throughput knob.
+	// length-prefixed binary frames into pooled buffers. Every other
+	// endpoint, Result included, stays JSON. The server decodes identical
+	// events either way — the binary encoding is exact — so Binary is
+	// purely a throughput knob.
 	Binary bool
 }
 
@@ -324,54 +323,13 @@ func (c *Client) Snapshot(ctx context.Context, tenant string) (wire.Solution, er
 }
 
 // Result reads the tenant's full recorded run (daemon must run with
-// -record). Under Options.Binary it negotiates the binary run encoding
-// via Accept and decodes it; the returned value is identical to the
-// JSON path's — both encodings are exact.
+// -record).
 func (c *Client) Result(ctx context.Context, tenant string) (*wire.Run, error) {
-	if c.opts.Binary {
-		run, err := c.resultBinary(ctx, tenant)
-		if err != nil {
-			return nil, err
-		}
-		return wire.FromStreamRun(run), nil
-	}
 	var resp wire.Run
 	if err := c.doJSON(ctx, http.MethodGet, tenantPath(tenant, "/result"), nil, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// resultBinary fetches and decodes the binary run encoding.
-func (c *Client) resultBinary(ctx context.Context, tenant string) (*stream.Run, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+tenantPath(tenant, "/result"), nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", wire.ContentTypeBinary)
-	if c.opts.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.opts.Token)
-	}
-	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		apiErr := &wire.Error{}
-		if err := json.NewDecoder(resp.Body).Decode(apiErr); err != nil || apiErr.Code == "" {
-			return nil, fmt.Errorf("client: GET result: unexpected status %d", resp.StatusCode)
-		}
-		return nil, apiErr
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeBinary {
-		return nil, fmt.Errorf("client: result: server answered %q to a binary Accept", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeRunBinary(body)
 }
 
 // Metrics samples the engine's counters (admin scope under auth).

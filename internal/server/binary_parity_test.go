@@ -281,9 +281,9 @@ func TestSubmitBinaryBadRequests(t *testing.T) {
 	}
 }
 
-// TestResultBinaryNegotiation: the result endpoint answers the binary
-// encoding only when Accept asks for it, and the two encodings decode
-// to identical runs.
+// TestResultBinaryNegotiation: the result endpoint answers JSON whether
+// or not Accept asks for the binary media type, and both answers decode
+// to the run the client reads.
 func TestResultBinaryNegotiation(t *testing.T) {
 	cases := remoteCases(t)
 	tc := cases[0]
@@ -304,45 +304,34 @@ func TestResultBinaryNegotiation(t *testing.T) {
 	if err := cli.Flush(ctx, tc.name); err != nil {
 		t.Fatal(err)
 	}
-
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/tenants/"+tc.name+"/result", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", wire.ContentTypeBinary)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); got != wire.ContentTypeBinary {
-		t.Fatalf("binary Accept answered Content-Type %q", got)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	binRun, err := wire.DecodeRunBinary(buf.Bytes())
+	want, err := cli.Result(ctx, tc.name)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	jsonRun, err := cli.Result(ctx, tc.name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprintf("%#v", binRun), fmt.Sprintf("%#v", jsonRun.Stream()); got != want {
-		t.Errorf("binary and JSON result encodings decode differently:\nbinary %s\njson   %s", got, want)
-	}
-
-	// Without the Accept header the response stays JSON — the default
-	// and the documented source of truth.
-	plain, err := ts.Client().Get(ts.URL + "/v1/tenants/" + tc.name + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Body.Close()
-	if ct := plain.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("default result Content-Type = %q, want JSON", ct)
+	for _, accept := range []string{"", wire.ContentTypeBinary} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/tenants/"+tc.name+"/result", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got wire.Run
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+			t.Errorf("Accept %q: result Content-Type = %q, want JSON", accept, ct)
+		}
+		if err != nil {
+			t.Fatalf("Accept %q: decode result as JSON: %v", accept, err)
+		}
+		if g, w := fmt.Sprintf("%#v", got.Stream()), fmt.Sprintf("%#v", want.Stream()); g != w {
+			t.Errorf("Accept %q: result diverged:\n got %s\nwant %s", accept, g, w)
+		}
 	}
 }

@@ -10,12 +10,9 @@ package server
 // engine — the failover path the kill-one-node drill exercises.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -107,64 +104,27 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	applied := 0
-	br, _ := s.readers.Get().(*bufio.Reader)
-	if br == nil {
-		br = bufio.NewReaderSize(r.Body, 64*1024)
-	} else {
-		br.Reset(r.Body)
-	}
-	defer s.readers.Put(br)
-
-	var magic [len(wire.BinaryMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		writeError(w, wire.CodeBadRequest, "read binary magic: "+err.Error(), 0)
-		return
-	}
-	if string(magic[:]) != wire.BinaryMagic {
-		writeError(w, wire.CodeBadRequest, fmt.Sprintf("bad binary magic %q", magic[:]), 0)
-		return
-	}
-
-	framep, _ := s.frames.Get().(*[]byte)
-	if framep == nil {
-		framep = new([]byte)
-	}
-	defer s.frames.Put(framep)
-
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			break // clean end of body between frames
-		}
-		if err != nil {
-			writeError(w, wire.CodeBadRequest, "read frame length: "+err.Error(), applied)
-			return
-		}
-		if n == 0 || n > wire.MaxFrameBytes {
-			writeError(w, wire.CodeBadRequest, fmt.Sprintf("frame of %d bytes out of range", n), applied)
-			return
-		}
-		if uint64(cap(*framep)) < n {
-			*framep = make([]byte, n)
-		}
-		frame := (*framep)[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			writeError(w, wire.CodeBadRequest, "read frame: "+err.Error(), applied)
-			return
-		}
+	err := s.readFrames(r.Body, func(frame []byte) error {
 		if len(frame) < 2 {
-			writeError(w, wire.CodeBadRequest, "frame too short for a record", applied)
-			return
+			return &badRequestError{"frame too short for a record"}
 		}
 		if err := s.cluster.cfg.Follower.AppendRecord(frame[0], frame[1:]); err != nil {
-			code := wire.CodeStorageFailed
 			if errors.Is(err, wal.ErrBadRecord) {
-				code = wire.CodeBadRequest
+				return &badRequestError{err.Error()}
 			}
-			writeError(w, code, err.Error(), applied)
-			return
+			return err
 		}
 		applied++
+		return nil
+	})
+	if err != nil {
+		code := wire.CodeStorageFailed
+		var badReq *badRequestError
+		if errors.As(err, &badReq) {
+			code = wire.CodeBadRequest
+		}
+		writeError(w, code, err.Error(), applied)
+		return
 	}
 	writeJSON(w, http.StatusOK, wire.ReplicateResponse{Applied: applied})
 }

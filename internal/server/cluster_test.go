@@ -6,6 +6,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -284,43 +285,57 @@ func TestReplicateThenActivateFailsOver(t *testing.T) {
 	}
 }
 
-// TestReplicateRejectsGarbage: bad magic, oversized frames and corrupt
-// records are refused with bad_request and an exact applied count, and
-// the follower log stays clean.
+// TestReplicateRejectsGarbage: the replicate endpoint refuses the same
+// framing faults as the binary submit path (they share one frame
+// reader) plus records the follower log rejects, each with bad_request
+// and the exact applied count, and the follower log holds only the
+// records applied before the fault.
 func TestReplicateRejectsGarbage(t *testing.T) {
-	fl := mustFollower(t)
-	eng := engine.New(engine.Config{Shards: 1})
-	t.Cleanup(func() { eng.Close() })
-	ts := newHTTP(t, server.New(eng, server.Config{Cluster: &server.ClusterConfig{
-		Self: clusterPeers[0], Peers: clusterPeers, Follower: fl,
-	}}))
-
 	openPayload, err := wal.EncodeOpenRecord("acme", []byte(`{}`))
 	good := rec(t, wal.KindOpen, openPayload, err)
+	framed := func(b ...byte) []byte { return append([]byte(wire.BinaryMagic), b...) }
 
-	status, body := do(t, ts, call{method: "POST", path: "/v1/replica/records",
-		contentType: wire.ContentTypeBinary, body: []byte("XXXX")})
-	if status != http.StatusBadRequest || errCode(t, body) != wire.CodeBadRequest {
-		t.Fatalf("bad magic: status %d, body %s", status, body)
+	cases := []struct {
+		name    string
+		body    []byte
+		applied int
+	}{
+		{"empty body", nil, 0},
+		{"bad magic", []byte("XXXX"), 0},
+		{"short magic", []byte("LE"), 0},
+		{"zero-length frame", framed(0), 0},
+		{"oversized length", binary.AppendUvarint(framed(), wire.MaxFrameBytes+1), 0},
+		{"truncated frame after a good record", append(shipBody(t, good), 200, 1), 1},
+		{"record too short after a good record", shipBody(t, good, []byte{wal.KindOpen}), 1},
+		{"corrupt record after a good record", shipBody(t, good, []byte{99, 'x'}), 1},
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := mustFollower(t)
+			eng := engine.New(engine.Config{Shards: 1})
+			t.Cleanup(func() { eng.Close() })
+			ts := newHTTP(t, server.New(eng, server.Config{Cluster: &server.ClusterConfig{
+				Self: clusterPeers[0], Peers: clusterPeers, Follower: fl,
+			}}))
 
-	// One good record, then a corrupt one: the error reports applied=1.
-	bad := []byte{99, 'x'} // unknown record kind
-	status, body = do(t, ts, call{method: "POST", path: "/v1/replica/records",
-		contentType: wire.ContentTypeBinary, body: shipBody(t, good, bad)})
-	if status != http.StatusBadRequest {
-		t.Fatalf("corrupt record: status %d, body %s", status, body)
-	}
-	var we wire.Error
-	if err := json.Unmarshal(body, &we); err != nil || we.Code != wire.CodeBadRequest || we.Accepted != 1 {
-		t.Fatalf("corrupt record error %s, want bad_request with accepted 1", body)
-	}
+			status, body := do(t, ts, call{method: "POST", path: "/v1/replica/records",
+				contentType: wire.ContentTypeBinary, body: tc.body})
+			var we wire.Error
+			if err := json.Unmarshal(body, &we); err != nil || status != http.StatusBadRequest ||
+				we.Code != wire.CodeBadRequest || we.Accepted != tc.applied {
+				t.Fatalf("status %d, body %s; want 400 bad_request with applied %d", status, body, tc.applied)
+			}
 
-	got, err := fl.Rescan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Tenant != "acme" {
-		t.Fatalf("follower log after rejects: %+v", got)
+			got, err := fl.Rescan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.applied == 0 && len(got) != 0 {
+				t.Fatalf("follower log after a rejected body: %+v", got)
+			}
+			if tc.applied == 1 && (len(got) != 1 || got[0].Tenant != "acme" || len(got[0].Events) != 0) {
+				t.Fatalf("follower log after the good record: %+v", got)
+			}
+		})
 	}
 }

@@ -87,7 +87,6 @@ type Server struct {
 	batches sync.Pool // *pooledBatch
 	readers sync.Pool // *bufio.Reader
 	frames  sync.Pool // *[]byte, frame payload scratch
-	runs    sync.Pool // *[]byte, binary run response scratch
 }
 
 // pooledBatch is one poolable decode batch. Its release hook is built
@@ -314,23 +313,13 @@ func mediaType(r *http.Request) string {
 }
 
 func (s *Server) submitArray(body io.Reader, push func([]stream.Event) error) error {
-	var wevs []wire.Event
-	if err := json.NewDecoder(body).Decode(&wevs); err != nil {
-		return &badRequestError{"decode event array: " + err.Error()}
-	}
-	evs, err := wire.StreamEvents(wevs)
-	if err != nil {
-		return &badRequestError{err.Error()}
-	}
-	// Fail a within-request time regression fast, before anything is
-	// enqueued. (A regression relative to an earlier request is only
+	// ReadEvents fails a within-request time regression before anything
+	// is enqueued. (A regression relative to an earlier request is only
 	// seen by the shard and surfaces as an asynchronous session
 	// failure — see the submit endpoint's documented semantics.)
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			return &badRequestError{fmt.Sprintf(
-				"event %d (t=%d) precedes event %d (t=%d)", i, evs[i].Time, i-1, evs[i-1].Time)}
-		}
+	evs, err := wire.ReadEvents(body)
+	if err != nil {
+		return &badRequestError{err.Error()}
 	}
 	for len(evs) > 0 {
 		n := min(s.cfg.ChunkSize, len(evs))
@@ -385,54 +374,15 @@ func (s *Server) submitNDJSON(body io.Reader, push func([]stream.Event) error) e
 	return push(chunk)
 }
 
-// submitBinary ingests a binary submit body: the magic, then
-// length-prefixed frames decoded into pooled event batches and enqueued
-// in ChunkSize chunks as they arrive. Each enqueued batch is recycled
-// only when its owning shard releases it, so the arenas the events
-// point into are never reused under a shard still applying them.
+// submitBinary ingests a binary submit body: its frames are decoded
+// into pooled event batches and enqueued in ChunkSize chunks as they
+// arrive. Each enqueued batch is recycled only when its owning shard
+// releases it, so the arenas the events point into are never reused
+// under a shard still applying them.
 func (s *Server) submitBinary(body io.Reader, tenant string, accepted *int) error {
-	br, _ := s.readers.Get().(*bufio.Reader)
-	if br == nil {
-		br = bufio.NewReaderSize(body, 64*1024)
-	} else {
-		br.Reset(body)
-	}
-	defer s.readers.Put(br)
-
-	var magic [len(wire.BinaryMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return &badRequestError{"read binary magic: " + err.Error()}
-	}
-	if string(magic[:]) != wire.BinaryMagic {
-		return &badRequestError{fmt.Sprintf("bad binary magic %q", magic[:])}
-	}
-
-	framep, _ := s.frames.Get().(*[]byte)
-	if framep == nil {
-		framep = new([]byte)
-	}
-	defer s.frames.Put(framep)
-
 	seen := 0
 	var last int64
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return nil // clean end of body between frames
-		}
-		if err != nil {
-			return &badRequestError{"read frame length: " + err.Error()}
-		}
-		if n == 0 || n > wire.MaxFrameBytes {
-			return &badRequestError{fmt.Sprintf("frame of %d bytes out of range", n)}
-		}
-		if uint64(cap(*framep)) < n {
-			*framep = make([]byte, n)
-		}
-		frame := (*framep)[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return &badRequestError{"read frame: " + err.Error()}
-		}
+	return s.readFrames(body, func(frame []byte) error {
 		var er wire.EventReader
 		if err := er.Init(frame); err != nil {
 			return &badRequestError{err.Error()}
@@ -467,6 +417,61 @@ func (s *Server) submitBinary(body io.Reader, tenant string, accepted *int) erro
 				return err
 			}
 			*accepted += n
+		}
+		return nil
+	})
+}
+
+// readFrames reads a binary-framed body — the magic, then
+// uvarint-length-prefixed frames of 1 to wire.MaxFrameBytes bytes — and
+// hands each frame to fn in body order. The frame lives in a pooled
+// buffer that is reused for the next frame, so fn must not keep it. A
+// clean end of body between frames returns nil; a framing fault returns
+// a *badRequestError; fn's own error stops the read and is returned as
+// is.
+func (s *Server) readFrames(body io.Reader, fn func(frame []byte) error) error {
+	br, _ := s.readers.Get().(*bufio.Reader)
+	if br == nil {
+		br = bufio.NewReaderSize(body, 64*1024)
+	} else {
+		br.Reset(body)
+	}
+	defer s.readers.Put(br)
+
+	var magic [len(wire.BinaryMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return &badRequestError{"read binary magic: " + err.Error()}
+	}
+	if string(magic[:]) != wire.BinaryMagic {
+		return &badRequestError{fmt.Sprintf("bad binary magic %q", magic[:])}
+	}
+
+	framep, _ := s.frames.Get().(*[]byte)
+	if framep == nil {
+		framep = new([]byte)
+	}
+	defer s.frames.Put(framep)
+
+	for {
+		n, err := binary.ReadUvarint(br)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return &badRequestError{"read frame length: " + err.Error()}
+		}
+		if n == 0 || n > wire.MaxFrameBytes {
+			return &badRequestError{fmt.Sprintf("frame of %d bytes out of range", n)}
+		}
+		if uint64(cap(*framep)) < n {
+			*framep = make([]byte, n)
+		}
+		frame := (*framep)[:n]
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return &badRequestError{"read frame: " + err.Error()}
+		}
+		if err := fn(frame); err != nil {
+			return err
 		}
 	}
 }
@@ -536,20 +541,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	run, err := s.eng.Result(r.PathValue("tenant"))
 	if err != nil {
 		writeEngineError(w, err, 0)
-		return
-	}
-	// Accept negotiation: the binary run encoding on request, JSON (the
-	// default and documented form) otherwise.
-	if strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary) {
-		bufp, _ := s.runs.Get().(*[]byte)
-		if bufp == nil {
-			bufp = new([]byte)
-		}
-		*bufp = wire.AppendRunBinary((*bufp)[:0], run)
-		w.Header().Set("Content-Type", wire.ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(*bufp)
-		s.runs.Put(bufp)
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.FromStreamRun(run))

@@ -195,21 +195,3 @@ func Batches(batches [][]metric.Point) []Event {
 	}
 	return out
 }
-
-// FromTrace converts a serialized workload trace into the matching event
-// stream (days, deadline or elements).
-func FromTrace(tr *workload.Trace) ([]Event, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	switch tr.Kind {
-	case workload.KindDays:
-		return Days(tr.Days), nil
-	case workload.KindDeadline:
-		return Windows(tr.Deadline), nil
-	case workload.KindElements:
-		return Elements(tr.Elements), nil
-	default:
-		return nil, fmt.Errorf("stream: trace kind %q has no event mapping", tr.Kind)
-	}
-}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"leasing/internal/workload"
 )
 
 // fakeLeaser buys one unit-cost lease per event; it exists to test the
@@ -98,29 +96,6 @@ func TestInterleaveDeterministicMerge(t *testing.T) {
 	}
 	if out := Interleave(); len(out) != 0 {
 		t.Errorf("empty interleave returned %d events", len(out))
-	}
-}
-
-func TestFromTraceAllKinds(t *testing.T) {
-	cases := []struct {
-		tr   *workload.Trace
-		want Payload
-	}{
-		{&workload.Trace{Kind: workload.KindDays, Days: []int64{3}}, Day{}},
-		{&workload.Trace{Kind: workload.KindDeadline, Deadline: []workload.DeadlineClient{{T: 3, D: 2}}}, Window{D: 2}},
-		{&workload.Trace{Kind: workload.KindElements, Elements: []workload.ElementArrival{{T: 3, Elem: 1, P: 2}}}, Element{Elem: 1, P: 2}},
-	}
-	for _, c := range cases {
-		evs, err := FromTrace(c.tr)
-		if err != nil {
-			t.Fatalf("%s: %v", c.tr.Kind, err)
-		}
-		if len(evs) != 1 || evs[0].Time != 3 || !reflect.DeepEqual(evs[0].Payload, c.want) {
-			t.Errorf("%s: events = %+v", c.tr.Kind, evs)
-		}
-	}
-	if _, err := FromTrace(&workload.Trace{Kind: "bogus"}); err == nil {
-		t.Error("unknown kind accepted")
 	}
 }
 

@@ -1,13 +1,13 @@
 package wire
 
 // The binary framing of the wire protocol: a compact, length-prefixed
-// encoding of events, event batches and recorded runs, negotiated per
-// request via Content-Type (submit) and Accept (result) with
-// ContentTypeBinary. JSON remains the default and the documentation
-// source of truth; the binary framing exists for the hot ingestion
-// path, where it decodes straight into stream.Event values — no
-// intermediate wire.Event, no map[string]any, and (through EventBatch's
-// payload arenas) zero allocations per event in steady state.
+// encoding of event batches, negotiated per submit request via
+// Content-Type with ContentTypeBinary. JSON remains the default and the
+// documentation source of truth; the binary framing exists for the hot
+// ingestion path, where it decodes straight into stream.Event values —
+// no intermediate wire.Event, no map[string]any, and (through
+// EventBatch's payload arenas) zero allocations per event in steady
+// state.
 //
 // The encoding is canonical: every encoder normalizes exactly the way a
 // JSON round-trip does (an element's zero multiplicity becomes 1, an
@@ -42,16 +42,8 @@ package wire
 //	  connect        varint s, varint u
 //	  use            varint dur (encoder writes max(dur, 1))
 //
-// A recorded run (Accept: application/x-lease-binary on result) is
-//
-//	byte version (1)
-//	presence+list of decisions (leases, assignments, f64 cost each)
-//	presence+list of curve points (varint time, f64 cost)
-//	f64 lease, f64 service    final cost breakdown
-//
-// where presence is 0 for a nil slice and 1 for a present one (then a
-// uvarint count; 1 with count 0 is an empty non-nil slice), preserving
-// the null-vs-[] distinction of the JSON encoding.
+// The replication endpoint reuses the same magic and frames, with one
+// write-ahead-log record per frame.
 
 import (
 	"encoding/binary"
@@ -64,9 +56,8 @@ import (
 	"leasing/internal/stream"
 )
 
-// ContentTypeBinary is the negotiated media type of the binary framing:
-// as a submit Content-Type it switches ingestion to binary frames, as a
-// result Accept it switches the response to the binary run encoding.
+// ContentTypeBinary is the media type of the binary framing: as a
+// submit Content-Type it switches ingestion to binary frames.
 const ContentTypeBinary = "application/x-lease-binary"
 
 // BinaryMagic opens every binary submit body, so a JSON array posted
@@ -88,9 +79,6 @@ const (
 	binConnect
 	binUse
 )
-
-// runVersion is the leading byte of the binary run encoding.
-const runVersion byte = 1
 
 // ErrBinary wraps every binary-decode failure: truncated or corrupt
 // frames error (never panic) and callers can classify them with
@@ -509,261 +497,18 @@ func (r *EventReader) Next(dst *EventBatch, maxEvents int) (int, error) {
 
 // DecodeEventsBinary decodes one frame payload into freshly allocated
 // events — the convenience path for recovery and tests; the hot path
-// uses EventReader with a pooled EventBatch.
+// uses EventReader with a pooled EventBatch. The events point into a
+// batch that is never Reset, so they own their payloads.
 func DecodeEventsBinary(payload []byte) ([]stream.Event, error) {
 	var r EventReader
 	if err := r.Init(payload); err != nil {
 		return nil, err
 	}
-	out := make([]stream.Event, 0, r.Remaining())
-	var b EventBatch
+	b := EventBatch{Events: make([]stream.Event, 0, r.Remaining())}
 	for r.Remaining() > 0 {
 		if _, err := r.Next(&b, r.Remaining()); err != nil {
 			return nil, err
 		}
 	}
-	// The batch's events point into its arenas; copy them out as plain
-	// boxed payloads so the result owns its memory.
-	for _, ev := range b.Events {
-		out = append(out, reboxEvent(ev))
-	}
-	return out, nil
-}
-
-// reboxEvent deep-copies an arena-backed event into ordinary boxed
-// payloads.
-func reboxEvent(ev stream.Event) stream.Event {
-	switch p := ev.Payload.(type) {
-	case stream.Day:
-		ev.Payload = stream.Day{}
-	case stream.Element:
-		ev.Payload = stream.Element{Elem: p.Elem, P: p.P}
-	case stream.Window:
-		ev.Payload = stream.Window{D: p.D}
-	case stream.ElementWindow:
-		ev.Payload = stream.ElementWindow{Elem: p.Elem, D: p.D}
-	case stream.Batch:
-		var cs []metric.Point
-		if p.Clients != nil {
-			cs = make([]metric.Point, len(p.Clients))
-			copy(cs, p.Clients)
-		}
-		ev.Payload = stream.Batch{Clients: cs}
-	case stream.Connect:
-		ev.Payload = stream.Connect{S: p.S, T: p.T}
-	case stream.Use:
-		ev.Payload = stream.Use{Dur: p.Dur}
-	}
-	return ev
-}
-
-// AppendRunBinary appends the binary encoding of a recorded run to dst.
-func AppendRunBinary(dst []byte, run *stream.Run) []byte {
-	dst = append(dst, runVersion)
-	if run.Decisions == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(run.Decisions)))
-		for _, d := range run.Decisions {
-			dst = appendLeasesBinary(dst, d.Leases)
-			dst = appendAssignmentsBinary(dst, d.Assignments)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(d.Cost))
-		}
-	}
-	if run.Curve == nil {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(run.Curve)))
-		for _, p := range run.Curve {
-			dst = binary.AppendVarint(dst, p.Time)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Cost))
-		}
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(run.Final.Lease))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(run.Final.Service))
-	return dst
-}
-
-func appendLeasesBinary(dst []byte, ls []stream.ItemLease) []byte {
-	if ls == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendUvarint(dst, uint64(len(ls)))
-	for _, l := range ls {
-		dst = binary.AppendVarint(dst, int64(l.Item))
-		dst = binary.AppendVarint(dst, int64(l.K))
-		dst = binary.AppendVarint(dst, l.Start)
-	}
-	return dst
-}
-
-func appendAssignmentsBinary(dst []byte, as []stream.Assignment) []byte {
-	if as == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendUvarint(dst, uint64(len(as)))
-	for _, a := range as {
-		dst = binary.AppendVarint(dst, int64(a.Item))
-		dst = binary.AppendVarint(dst, int64(a.K))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Cost))
-	}
-	return dst
-}
-
-// binReader is a bounds-checked cursor with a sticky error, so run
-// decoding can read linearly and fail once at the end.
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail(msg string) {
-	if r.err == nil {
-		r.err = binErrf("%s at offset %d", msg, r.off)
-	}
-}
-
-func (r *binReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// count reads a presence byte and, when present, a count bounded by the
-// remaining bytes at minSize bytes per element. It returns the count
-// and whether the list is present (nil vs empty).
-func (r *binReader) count(minSize int) (int, bool) {
-	switch r.u8() {
-	case 0:
-		return 0, false
-	case 1:
-	default:
-		r.fail("bad presence byte")
-		return 0, false
-	}
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.b)-r.off)/uint64(minSize) {
-		r.fail("count exceeds frame")
-		return 0, false
-	}
-	return int(n), r.err == nil
-}
-
-// DecodeRunBinary decodes a binary run encoding.
-func DecodeRunBinary(b []byte) (*stream.Run, error) {
-	r := &binReader{b: b}
-	if v := r.u8(); r.err == nil && v != runVersion {
-		return nil, binErrf("unsupported run version %d", v)
-	}
-	run := &stream.Run{}
-	// A decision is at least 3 bytes (two presence bytes + 8-byte cost
-	// would be 10, but keep the bound conservative and simple).
-	if n, ok := r.count(3); ok {
-		run.Decisions = make([]stream.Decision, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			var d stream.Decision
-			d.Leases = decodeLeasesBinary(r)
-			d.Assignments = decodeAssignmentsBinary(r)
-			d.Cost = r.f64()
-			run.Decisions = append(run.Decisions, d)
-		}
-	}
-	if n, ok := r.count(9); ok {
-		run.Curve = make([]stream.CurvePoint, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			t := r.varint()
-			c := r.f64()
-			run.Curve = append(run.Curve, stream.CurvePoint{Time: t, Cost: c})
-		}
-	}
-	run.Final.Lease = r.f64()
-	run.Final.Service = r.f64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, binErrf("%d trailing bytes after run", len(b)-r.off)
-	}
-	return run, nil
-}
-
-func decodeLeasesBinary(r *binReader) []stream.ItemLease {
-	n, ok := r.count(3)
-	if !ok {
-		return nil
-	}
-	out := make([]stream.ItemLease, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		item := r.varint()
-		k := r.varint()
-		start := r.varint()
-		out = append(out, stream.ItemLease{Item: int(item), K: int(k), Start: start})
-	}
-	return out
-}
-
-func decodeAssignmentsBinary(r *binReader) []stream.Assignment {
-	n, ok := r.count(10)
-	if !ok {
-		return nil
-	}
-	out := make([]stream.Assignment, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		item := r.varint()
-		k := r.varint()
-		cost := r.f64()
-		out = append(out, stream.Assignment{Item: int(item), K: int(k), Cost: cost})
-	}
-	return out
+	return b.Events, nil
 }

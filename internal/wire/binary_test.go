@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"leasing/internal/metric"
@@ -173,10 +174,11 @@ func TestBinaryEventReaderChunks(t *testing.T) {
 	if err := r.Init(payload); err != nil {
 		t.Fatal(err)
 	}
-	var eb EventBatch
 	var got []stream.Event
 	for r.Remaining() > 0 {
-		eb.Reset()
+		// A batch that is never Reset owns its payloads, so each chunk
+		// gets a fresh one and its events stay valid.
+		var eb EventBatch
 		n, err := r.Next(&eb, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -184,13 +186,40 @@ func TestBinaryEventReaderChunks(t *testing.T) {
 		if n == 0 {
 			t.Fatal("Next returned 0 with events remaining")
 		}
-		for _, ev := range eb.Events {
-			got = append(got, reboxEvent(ev))
-		}
+		got = append(got, eb.Events...)
 	}
 	want := fmt.Sprintf("%#v", jsonRoundTrip(t, events))
 	if g := fmt.Sprintf("%#v", got); g != want {
 		t.Errorf("chunked decode diverged:\n got %s\nwant %s", g, want)
+	}
+}
+
+// TestAPIMarkdownListsEveryBinaryKind: docs/API.md's kind table has a
+// row for every payload kind, with the kind byte the encoder writes, and
+// the test's events cover every kind byte the decoder accepts — so a
+// new kind cannot reach the decoder without its documentation row.
+func TestAPIMarkdownListsEveryBinaryKind(t *testing.T) {
+	doc := string(APIMarkdown())
+	encoded := map[byte]bool{}
+	for _, ev := range canonicalEvents() {
+		buf, err := AppendEventBinary(nil, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := FromStreamEvent(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded[buf[0]] = true
+		if row := fmt.Sprintf("| `%s` | %d |", w.Kind, buf[0]); !strings.Contains(doc, row) {
+			t.Errorf("API markdown has no kind row %q", row)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		var eb EventBatch
+		if _, err := eb.decodeEvent([]byte{byte(b), 0, 0, 0, 0}); err == nil && !encoded[byte(b)] {
+			t.Errorf("decoder accepts kind byte %d, but no test event encodes it", b)
+		}
 	}
 }
 
@@ -218,66 +247,6 @@ func TestBinaryCorruptFrames(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := DecodeEventsBinary(payload); err == nil {
 				t.Error("corrupt payload decoded without error")
-			}
-		})
-	}
-}
-
-// TestBinaryRunRoundTrip: the binary run encoding round-trips
-// byte-identically (under %#v) including the null-vs-[] distinction and
-// exact float bits.
-func TestBinaryRunRoundTrip(t *testing.T) {
-	runs := []*stream.Run{
-		{},
-		{Decisions: []stream.Decision{}, Curve: []stream.CurvePoint{}},
-		{
-			Decisions: []stream.Decision{
-				{Cost: 0},
-				{
-					Leases:      []stream.ItemLease{{Item: 2, K: 1, Start: 4}},
-					Assignments: []stream.Assignment{{Item: 2, K: 1, Cost: 1.0 / 3.0}},
-					Cost:        0.1 + 0.2,
-				},
-				{Leases: []stream.ItemLease{}, Assignments: []stream.Assignment{}},
-			},
-			Curve: []stream.CurvePoint{{Time: 0, Cost: 0}, {Time: 1, Cost: 0.30000000000000004}},
-			Final: stream.CostBreakdown{Lease: 1e-17, Service: 0.1},
-		},
-	}
-	for i, run := range runs {
-		buf := AppendRunBinary(nil, run)
-		back, err := DecodeRunBinary(buf)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		if got, want := fmt.Sprintf("%#v", back), fmt.Sprintf("%#v", run); got != want {
-			t.Errorf("run %d diverged:\n got %s\nwant %s", i, got, want)
-		}
-		if reenc := AppendRunBinary(nil, back); !bytes.Equal(reenc, buf) {
-			t.Errorf("run %d: re-encode is not byte-identical", i)
-		}
-	}
-}
-
-// TestBinaryRunCorrupt: truncated and corrupt run encodings error.
-func TestBinaryRunCorrupt(t *testing.T) {
-	good := AppendRunBinary(nil, &stream.Run{
-		Decisions: []stream.Decision{{Leases: []stream.ItemLease{{Item: 1, K: 0, Start: 2}}, Cost: 1}},
-		Curve:     []stream.CurvePoint{{Time: 0, Cost: 1}},
-		Final:     stream.CostBreakdown{Lease: 1, Service: 0},
-	})
-	cases := map[string][]byte{
-		"empty":               {},
-		"bad version":         {99},
-		"bad presence":        {runVersion, 7},
-		"count exceeds frame": {runVersion, 1, 0xff, 0xff, 0x03},
-		"truncated":           good[:len(good)-1],
-		"trailing bytes":      append(append([]byte{}, good...), 0),
-	}
-	for name, buf := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeRunBinary(buf); err == nil {
-				t.Error("corrupt run decoded without error")
 			}
 		})
 	}
@@ -406,44 +375,6 @@ func FuzzBinaryUseDuration(f *testing.F) {
 	})
 }
 
-// FuzzBinaryRunRoundTrip: the run decoder must never panic, and
-// anything it accepts must re-encode to a fixed point.
-func FuzzBinaryRunRoundTrip(f *testing.F) {
-	f.Add(AppendRunBinary(nil, &stream.Run{
-		Decisions: []stream.Decision{{Cost: 1}},
-		Curve:     []stream.CurvePoint{{Time: 0, Cost: 1}},
-	}))
-	// A reusable-domain run shape: a pool grant (unit 0, covering type 2)
-	// followed by a whole-pool-busy rejection verdict (-1, -1).
-	f.Add(AppendRunBinary(nil, &stream.Run{
-		Decisions: []stream.Decision{
-			{
-				Leases:      []stream.ItemLease{{Item: 0, K: 2, Start: 4}},
-				Assignments: []stream.Assignment{{Item: 0, K: 2, Cost: 0}},
-				Cost:        5,
-			},
-			{Assignments: []stream.Assignment{{Item: -1, K: -1, Cost: 0}}},
-		},
-		Curve: []stream.CurvePoint{{Time: 4, Cost: 5}, {Time: 5, Cost: 5}},
-		Final: stream.CostBreakdown{Lease: 5},
-	}))
-	f.Add([]byte{runVersion, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		run, err := DecodeRunBinary(data)
-		if err != nil {
-			return
-		}
-		enc1 := AppendRunBinary(nil, run)
-		run2, err := DecodeRunBinary(enc1)
-		if err != nil {
-			t.Fatalf("canonical encoding failed to decode: %v", err)
-		}
-		if enc2 := AppendRunBinary(nil, run2); !bytes.Equal(enc1, enc2) {
-			t.Errorf("encode(decode(x)) is not a fixed point:\n first  %x\n second %x", enc1, enc2)
-		}
-	})
-}
-
 // allocBudgets pins the hot binary paths' allocation behavior. These are
 // exact budgets, not ceilings to grow into: the zero rows are the
 // zero-alloc submit path the server relies on, and a regression fails
@@ -479,9 +410,6 @@ var allocBudgets = []struct {
 			panic(err)
 		}
 	}},
-	{"encode-run/warm-buffer", 0, func(b *benchState) {
-		b.buf = AppendRunBinary(b.buf[:0], b.run)
-	}},
 }
 
 type benchState struct {
@@ -490,7 +418,6 @@ type benchState struct {
 	wevents []Event
 	eb      *EventBatch
 	buf     []byte
-	run     *stream.Run
 }
 
 func newBenchState(t testing.TB) *benchState {
@@ -511,10 +438,6 @@ func newBenchState(t testing.TB) *benchState {
 		events:  events,
 		wevents: wevents,
 		eb:      &EventBatch{},
-		run: &stream.Run{
-			Decisions: []stream.Decision{{Leases: []stream.ItemLease{{Item: 1, K: 0, Start: 2}}, Cost: 1}},
-			Curve:     []stream.CurvePoint{{Time: 0, Cost: 1}},
-		},
 	}
 }
 

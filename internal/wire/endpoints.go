@@ -190,7 +190,8 @@ func Endpoints() []Endpoint {
 			Summary: "Submit a batch of events for the tenant.",
 			Request: []Event{}, Response: SubmitResponse{},
 			Errors: []string{CodeBadRequest, CodeBackpressure, CodeStorageFailed, CodeShuttingDown},
-			Notes: "The body is either a JSON array of events or, with " +
+			Notes: "The body is either a JSON array of events (the trace format " +
+				"cmd/leasegen writes, so a trace file can be posted unchanged) or, with " +
 				"Content-Type application/x-ndjson, a stream of one JSON event per " +
 				"line (the bulk-ingestion path; events are enqueued in chunks while " +
 				"the body streams in). With Content-Type application/x-lease-binary " +
@@ -280,9 +281,7 @@ func Endpoints() []Endpoint {
 			Errors: []string{CodeUnknownTenant, CodeNotRecording, CodeSessionFailed},
 			Notes: "The run is byte-identical to what a single-threaded Replay of " +
 				"the session's events produces — the service's determinism anchor. " +
-				"Content-negotiated: JSON by default; Accept: " +
-				"application/x-lease-binary returns the same run in the binary run " +
-				"encoding (see the binary framing section).",
+				"The response is always JSON, whatever the Accept header asks for.",
 		},
 		{
 			Name:    "replicate",
@@ -434,16 +433,14 @@ or slow producers.
 ## Binary framing
 
 JSON is the default and the source of truth for this document, but the
-hot paths can negotiate the compact binary framing per request:
-
-- submit: ` + "`Content-Type: application/x-lease-binary`" + ` switches the body
-  to binary frames, decoded on a pooled zero-allocation path.
-- result: ` + "`Accept: application/x-lease-binary`" + ` returns the recorded run
-  in the binary run encoding (the response Content-Type echoes it).
-- Everything else — responses, errors, every other endpoint — stays
-  JSON. A session may switch encodings freely between requests; the two
-  decode to identical values, so mixed-encoding histories replay
-  byte-identical to single-encoding ones.
+submit hot path can switch to the compact binary framing per request:
+` + "`Content-Type: application/x-lease-binary`" + ` makes the body binary
+frames, decoded on a pooled zero-allocation path. Everything else —
+responses (the recorded run included), errors, every other endpoint —
+is JSON. A session may switch submit encodings freely between requests;
+the two decode to identical values, so mixed-encoding histories replay
+byte-identical to single-encoding ones. The replicate endpoint uses the
+same magic and frames, one write-ahead-log record per frame.
 
 A binary submit body is the magic ` + "`LEB1`" + ` followed by frames, each
 decoded and enqueued as it is read (the NDJSON-equivalent chunked
@@ -470,16 +467,15 @@ fields:
 | ` + "`element_window`" + ` | 4 | varint elem, varint d |
 | ` + "`batch`" + ` | 5 | presence byte (0 = null), then uvarint count and count × (8-byte x bits, 8-byte y bits) |
 | ` + "`connect`" + ` | 6 | varint s, varint u |
+| ` + "`use`" + ` | 7 | varint dur |
 
 The encoding is canonical — encoders apply exactly the normalizations a
-JSON round trip does (an element's zero multiplicity encodes as 1, an
-empty client list as null), so re-encoding a decoded body is
-byte-identical and the binary and JSON paths produce the same values.
-The binary run encoding mirrors the ` + "`Run`" + ` wire type: a version byte,
-then decisions, curve and the final cost breakdown, with nil-vs-empty
-presence bytes preserving the ` + "`null`" + ` vs ` + "`[]`" + ` distinction. The Go
-client speaks the framing with ` + "`RemoteClientOptions{Binary: true}`" + `;
-` + "`leaseload -nodes 1 -binary`" + ` load-tests it.
+JSON round trip does (an element's zero multiplicity and a use's zero
+duration encode as 1, an empty client list as null), so re-encoding a
+decoded body is byte-identical and the binary and JSON paths produce the
+same values. The Go client submits in the framing with
+` + "`RemoteClientOptions{Binary: true}`" + `; ` + "`leaseload -nodes 1 -binary`" + `
+load-tests it.
 
 ## Wire types
 

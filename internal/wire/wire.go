@@ -8,6 +8,12 @@
 // cmd/leasereport — so the implementation and the documentation cannot
 // drift apart.
 //
+// Each job has one encoding. An event stream is a JSON array of Event
+// (ReadEvents decodes it): the submit endpoint's default body and the
+// trace file cmd/leasegen writes. A recorded run is JSON. The binary
+// framing (binary.go) is the submit hot path's alternative event
+// encoding, and the replication endpoint's record framing.
+//
 // Conversions to and from the in-process protocol (internal/stream) are
 // exact: encoding/json renders float64 with the shortest round-trippable
 // representation and the slice fields of Decision, Run and Solution
@@ -18,7 +24,9 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"leasing/internal/engine"
 	"leasing/internal/metric"
@@ -158,6 +166,29 @@ func StreamEvents(evs []Event) ([]stream.Event, error) {
 		out[i] = s
 	}
 	return out, nil
+}
+
+// ReadEvents decodes a JSON array of wire events — the submit
+// endpoint's default body and cmd/leasegen's trace format — converts
+// each with Event.Stream, and rejects a time regression within the
+// array, so a caller has the whole body checked before acting on any of
+// it.
+func ReadEvents(r io.Reader) ([]stream.Event, error) {
+	var wevs []Event
+	if err := json.NewDecoder(r).Decode(&wevs); err != nil {
+		return nil, fmt.Errorf("decode event array: %w", err)
+	}
+	evs, err := StreamEvents(wevs)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time < evs[i-1].Time {
+			return nil, fmt.Errorf("event %d (t=%d) precedes event %d (t=%d)",
+				i, evs[i].Time, i-1, evs[i-1].Time)
+		}
+	}
+	return evs, nil
 }
 
 // ItemLease is the bought triple (item, type, start).

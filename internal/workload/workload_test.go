@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -229,58 +227,5 @@ func TestMergeSortedDays(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("MergeSortedDays = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tests := []*Trace{
-		{Kind: KindDays, Days: []int64{0, 3, 9}},
-		{Kind: KindDeadline, Deadline: []DeadlineClient{{T: 0, D: 5}, {T: 2, D: 0}}},
-		{Kind: KindElements, Elements: []ElementArrival{{T: 0, Elem: 1, P: 2}, {T: 4, Elem: 0, P: 1}}},
-	}
-	for _, tr := range tests {
-		t.Run(tr.Kind, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteTrace(&buf, tr); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadTrace(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Kind != tr.Kind {
-				t.Errorf("kind = %q, want %q", got.Kind, tr.Kind)
-			}
-			if len(got.Days) != len(tr.Days) || len(got.Deadline) != len(tr.Deadline) || len(got.Elements) != len(tr.Elements) {
-				t.Errorf("payload lengths changed: %+v vs %+v", got, tr)
-			}
-		})
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	bad := []*Trace{
-		{Kind: "bogus"},
-		{Kind: KindDays, Days: []int64{5, 3}},
-		{Kind: KindDeadline, Deadline: []DeadlineClient{{T: 0, D: -1}}},
-		{Kind: KindDeadline, Deadline: []DeadlineClient{{T: 5}, {T: 1}}},
-		{Kind: KindElements, Elements: []ElementArrival{{T: 0, Elem: 0, P: 0}}},
-		{Kind: KindElements, Elements: []ElementArrival{{T: 0, Elem: -1, P: 1}}},
-		{Kind: KindElements, Elements: []ElementArrival{{T: 3, Elem: 0, P: 1}, {T: 1, Elem: 0, P: 1}}},
-	}
-	for i, tr := range bad {
-		if err := tr.Validate(); err == nil {
-			t.Errorf("bad trace %d validated", i)
-		}
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, tr); err == nil {
-			t.Errorf("bad trace %d written", i)
-		}
-	}
-	if _, err := ReadTrace(strings.NewReader("{not json")); err == nil {
-		t.Error("garbage decoded")
-	}
-	if _, err := ReadTrace(strings.NewReader(`{"kind":"bogus"}`)); err == nil {
-		t.Error("bad kind decoded")
 	}
 }

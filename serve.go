@@ -12,6 +12,8 @@ package leasing
 // covers running the daemon.
 
 import (
+	"io"
+
 	"leasing/internal/client"
 	"leasing/internal/server"
 	"leasing/internal/wire"
@@ -67,6 +69,13 @@ func Dial(baseURL string, opts RemoteClientOptions) *RemoteClient {
 func WireEvents(evs []Event) ([]RemoteEvent, error) {
 	return wire.FromStreamEvents(evs)
 }
+
+// ReadEvents decodes a JSON array of wire events — the default body of
+// POST /v1/tenants/{tenant}/events, and the trace format cmd/leasegen
+// writes — into in-process events. It rejects an unknown kind and a
+// time regression within the array, exactly as the submit endpoint
+// does.
+func ReadEvents(r io.Reader) ([]Event, error) { return wire.ReadEvents(r) }
 
 // WireLeaseTypes converts a lease configuration to the Types field of a
 // RemoteOpenRequest.

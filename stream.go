@@ -11,7 +11,6 @@ package leasing
 // network.go remain available for direct, domain-typed use.
 
 import (
-	"io"
 	"math/rand"
 
 	"leasing/internal/deadline"
@@ -20,7 +19,6 @@ import (
 	"leasing/internal/setcover"
 	"leasing/internal/steiner"
 	"leasing/internal/stream"
-	"leasing/internal/workload"
 )
 
 // Event is one online demand: a timestamp plus a domain payload. Build
@@ -243,23 +241,3 @@ func SolutionFacilityAssignments(sol Solution) []FacilityAssignment {
 	}
 	return out
 }
-
-// Trace is a serializable demand stream, the interchange format of
-// cmd/leasegen and cmd/leasesim.
-type Trace = workload.Trace
-
-// Trace kinds.
-const (
-	TraceKindDays     = workload.KindDays
-	TraceKindDeadline = workload.KindDeadline
-	TraceKindElements = workload.KindElements
-)
-
-// ReadTrace decodes and validates a trace written by WriteTrace.
-func ReadTrace(r io.Reader) (*Trace, error) { return workload.ReadTrace(r) }
-
-// WriteTrace validates and encodes a trace as one JSON object.
-func WriteTrace(w io.Writer, tr *Trace) error { return workload.WriteTrace(w, tr) }
-
-// TraceEvents converts a trace into the matching event stream.
-func TraceEvents(tr *Trace) ([]Event, error) { return stream.FromTrace(tr) }
