@@ -19,8 +19,10 @@ import (
 	"leasing/internal/server"
 )
 
-// ClusterRing is the bounded-load consistent-hash ring every node and
-// cluster client builds from the shared peer list.
+// ClusterRing is the consistent-hash ring every node and cluster client
+// builds from the shared peer list: a tenant is owned by the first
+// member clockwise from its hash, and its replica is the next distinct
+// member.
 type ClusterRing = cluster.Ring
 
 // NewClusterRing builds the ring over the peer list with the default

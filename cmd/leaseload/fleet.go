@@ -1,7 +1,7 @@
 package main
 
-// The fleet one step drives, built from the run's target and WAL axes,
-// and the -kill fault: every step opens, produces, flushes, measures,
+// The fleet a run drives, built from the run's target and WAL axes,
+// and the -kill fault: every run opens, produces, flushes, measures,
 // verifies and drains through the same methods whatever the fleet is.
 
 import (
@@ -25,7 +25,7 @@ import (
 	"leasing/internal/stats"
 )
 
-// fleet is what one step drives: the in-process engine (-nodes 0), or
+// fleet is what a run drives: the in-process engine (-nodes 0), or
 // daemons reached through the ring-routing cluster client, which sends
 // everything to the one member when there is one.
 type fleet struct {
@@ -55,56 +55,51 @@ type node struct {
 	cmd  *exec.Cmd             // the live process, nil once reaped
 }
 
-// runStep builds a fresh fleet, opens ts on it, produces every stream
-// (up to the step deadline, if any), flushes and measures — killing and
-// recovering a node on the way under -kill — then verifies every tenant
-// under -verify and drains the fleet, which must stop cleanly.
-func runStep(c *config, ts []*tenant) (rampStep, leasing.EngineMetrics, error) {
-	var m leasing.EngineMetrics
+// measure builds a fresh fleet, opens ts on it, produces every stream,
+// flushes and measures — killing and recovering a node on the way under
+// -kill — then verifies every tenant under -verify and drains the fleet,
+// which must stop cleanly. It fills the report's totals, rate, latency
+// and engine counters.
+func measure(report *jsonReport, ts []*tenant, c *config) error {
 	f, err := startFleet(c)
 	if err != nil {
-		return rampStep{}, m, err
+		return err
 	}
 	defer f.stop(os.Kill)
 	var total int64
 	for _, t := range ts {
 		if err := f.open(t); err != nil {
-			return rampStep{}, m, fmt.Errorf("open %s: %w", t.name, err)
+			return fmt.Errorf("open %s: %w", t.name, err)
 		}
 		total += int64(len(t.events))
 	}
 	if c.kill {
 		if err := f.armKill(ts, max(total/2, 1)); err != nil {
-			return rampStep{}, m, err
+			return err
 		}
 	}
-	var stop func() bool
-	if c.stepDur > 0 {
-		deadline := time.Now().Add(c.stepDur)
-		stop = func() bool { return !time.Now().Before(deadline) }
-	}
 	res := stats.NewReservoir(latReservoirCap, c.seed)
-	// Collect the garbage of tenant synthesis (and of earlier steps) now,
-	// so no collection of it lands in the timed window.
+	// Collect the garbage of tenant synthesis now, so no collection of it
+	// lands in the timed window.
 	runtime.GC()
-	start, err := f.produce(ts, res, stop)
+	start, err := f.produce(ts, res)
 	if err != nil {
-		return rampStep{}, m, err
+		return err
 	}
 	if c.kill {
 		if err := f.recover(ts); err != nil {
-			return rampStep{}, m, err
+			return err
 		}
 	}
 	if err := f.flush(ts); err != nil {
-		return rampStep{}, m, err
+		return err
 	}
 	// Elapsed spans submission AND the flush barrier, so events still
 	// queued on shards when producers finish are not counted as done —
 	// the semantics every committed BENCH_PR*.json was measured with.
 	elapsed := time.Since(start)
-	if m, err = f.metrics(); err != nil {
-		return rampStep{}, m, err
+	if report.Engine, err = f.metrics(); err != nil {
+		return err
 	}
 	if c.verify {
 		bad := 0
@@ -115,31 +110,28 @@ func runStep(c *config, ts []*tenant) (rampStep, leasing.EngineMetrics, error) {
 			}
 		}
 		if bad > 0 {
-			return rampStep{}, m, fmt.Errorf("%d of %d tenants diverged from Replay of their streams", bad, len(ts))
+			return fmt.Errorf("%d of %d tenants diverged from Replay of their streams", bad, len(ts))
 		}
+		report.Verified = &c.verify
 	}
 	if err := f.stop(syscall.SIGTERM); err != nil {
-		return rampStep{}, m, err
+		return err
 	}
-	submitted := f.acked.Load()
-	if c.kill {
-		submitted = total // the resume submitted the rest
+	// Every stream was submitted whole: a failed submit ends the run, and
+	// under -kill the resume submitted what the victim lost.
+	qs := res.Quantiles(0.50, 0.90, 0.99)
+	report.TotalEvents = total
+	report.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+	report.EventsPerSec = float64(total) / elapsed.Seconds()
+	report.SubmitLatencyUS = latencyStats{P50: qs[0], P90: qs[1], P99: qs[2], Max: res.Max()}
+	if c.addr != "" {
+		// The daemon owns its engine and log configuration: report the
+		// shard count it actually runs (visible in its metrics) and zero
+		// the knobs the load generator cannot observe.
+		report.Shards = len(report.Engine.Shards)
+		report.Batch, report.Queue, report.WAL = 0, 0, ""
 	}
-	samples := min(res.N(), latReservoirCap)
-	q := slaQuantile(samples, c.slaPct)
-	qs := res.Quantiles(0.50, 0.90, 0.99, q)
-	return rampStep{
-		Tenants:           len(ts),
-		SubmittedEvents:   submitted,
-		Completed:         submitted == total,
-		ElapsedMS:         float64(elapsed.Microseconds()) / 1000,
-		EventsPerSec:      float64(submitted) / elapsed.Seconds(),
-		SubmitLatencyUS:   latencyStats{P50: qs[0], P90: qs[1], P99: qs[2], Max: res.Max()},
-		Samples:           samples,
-		SLAPercentileUsed: q,
-		LatencyAtSLAUS:    qs[3],
-		SLAMet:            submitted == total && qs[3] <= c.slaMS*1000,
-	}, m, nil
+	return nil
 }
 
 // startFleet builds the fleet the target and WAL axes name, wiring
@@ -354,7 +346,7 @@ func (f *fleet) submit(t *tenant, lo, hi int) error {
 	return err
 }
 
-// flush is the step's barrier: once it returns, every engine has
+// flush is the run's barrier: once it returns, every engine has
 // applied everything acknowledged. A daemon's flush is engine-wide, so
 // it takes one per owning node.
 func (f *fleet) flush(ts []*tenant) error {
@@ -555,7 +547,7 @@ func (f *fleet) recover(ts []*tenant) error {
 // stop shuts the fleet down in order and reports whether every part
 // stopped cleanly. Spawned daemons get sig: SIGTERM drains them (a
 // clustered one flushing its shipper on the way) and each must then
-// exit 0, while os.Kill tears down a failed step. In-process nodes first
+// exit 0, while os.Kill tears down a failed run. In-process nodes first
 // flush their shippers — every one while all peers still serve, and none
 // may have failed a peer — then close in the reverse of their start. It
 // is safe to call again.

@@ -10,7 +10,9 @@
 // (committed snapshots are named BENCH_*.json; see the README's
 // trajectory convention).
 //
-// Every run is one code path over three axes:
+// Every run is a fixed amount of work: each tenant's whole stream,
+// drawn from Bernoulli(0.5) arrivals and deterministic in -seed, is
+// submitted once. The run is one code path over three axes:
 //
 //   - Target. -nodes 0, the default, drives the in-process engine.
 //     -nodes N starts N loopback daemons wired the way cmd/leased wires
@@ -30,21 +32,12 @@
 //     processed count and is verified against Replay.
 //
 // An axis combination that cannot run is one up-front error. The
-// report's mode is a label derived from the axes, and the perf gate
-// (-gate) only compares runs of the same mode.
-//
-// The traffic is shaped by pluggable arrival processes (-arrival
-// constant|diurnal|bursty; internal/workload) and optionally by
-// Zipf-skewed per-tenant volumes (-zipf-sizes), all deterministic in
-// -seed. A run whose -step-tenants is below -tenants is stepped: each
-// step serves -step-tenants more tenants than the last on a fresh
-// fleet, until the submit-latency SLA (-sla-p99 milliseconds at
-// -sla-percentile, optionally with a -step-duration deadline) breaks.
-// A stepped run's headline is its knee, the maximum sustainable
-// throughput under SLA (the BENCH_PR6.json format); a one-step run's
-// headline is its measured rate. With -gate the run is compared against
-// a committed BENCH_*.json snapshot and fails on regression beyond
-// -gate-tolerance — the CI perf gate.
+// report's mode is a label derived from the axes. With -gate the run is
+// compared against a committed BENCH_*.json snapshot of the same mode
+// and fails on regression beyond -gate-tolerance — the CI perf gate.
+// The submit latency times each submit call, which on the in-process
+// engine is the enqueue only; servebench measures submit-to-applied
+// latency.
 //
 // Usage:
 //
@@ -55,9 +48,7 @@
 //	leaseload -wal fsync [-cpuprofile cpu.out]  # a durable in-process engine
 //	leaseload -nodes 4 -wal nosync              # a replicated 4-node fleet
 //	leaseload -leased ./leased -nodes 3 -wal fsync -kill   # kill-one-node drill
-//	leaseload -step-tenants 16 -sla-p99 5 [-step-duration 2s]
-//	leaseload -arrival diurnal -zipf-sizes 1.2  # shaped, skewed traffic
-//	leaseload -json -gate BENCH_PR6.json [-gate-tolerance 0.15]
+//	leaseload -json -gate BENCH_PR3.json [-gate-tolerance 0.15]
 package main
 
 import (
@@ -66,7 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -86,12 +76,8 @@ import (
 
 // latReservoirCap bounds the submit-latency sample: produce records
 // every call into a fixed-size reservoir (Vitter's algorithm R), so
-// memory stays flat however long a run or step submits.
+// memory stays flat however long a run submits.
 const latReservoirCap = 4096
-
-// minBeyond is how many latency samples must lie above the percentile a
-// step's SLA is checked at.
-const minBeyond = 10
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -144,43 +130,6 @@ type jsonReport struct {
 	SubmitLatencyUS latencyStats          `json:"submit_latency_us"`
 	Engine          leasing.EngineMetrics `json:"engine"`
 	Verified        *bool                 `json:"verified,omitempty"`
-	Ramp            *rampReport           `json:"ramp,omitempty"`
-}
-
-// rampReport is a stepped run's section of the report: the SLA, the
-// step schedule, every executed step, and the knee — the largest
-// tenant count (and its throughput) that still met the SLA. The
-// report's top-level events_per_sec and submit_latency_us mirror the
-// knee, so the BENCH trajectory and the perf gate read stepped
-// snapshots like any other.
-type rampReport struct {
-	SLAPercentile           float64    `json:"sla_percentile"`
-	SLALatencyMS            float64    `json:"sla_latency_ms"`
-	StepTenants             int        `json:"step_tenants"`
-	StepDurationMS          float64    `json:"step_duration_ms"`
-	Arrival                 string     `json:"arrival"`
-	Steps                   []rampStep `json:"steps"`
-	MaxTenantsUnderSLA      int        `json:"max_tenants_under_sla"`
-	MaxEventsPerSecUnderSLA float64    `json:"max_events_per_sec_under_sla"`
-}
-
-// rampStep is one rung: a fresh fleet serving the first Tenants
-// tenants. Completed reports whether the whole step load was submitted
-// before the step deadline; a cut-off step is never sustainable,
-// whatever its latency sample says. The SLA is checked at
-// SLAPercentileUsed: -sla-percentile, or lower when fewer than ten of
-// the step's Samples lie beyond it.
-type rampStep struct {
-	Tenants           int          `json:"tenants"`
-	SubmittedEvents   int64        `json:"submitted_events"`
-	Completed         bool         `json:"completed"`
-	ElapsedMS         float64      `json:"elapsed_ms"`
-	EventsPerSec      float64      `json:"events_per_sec"`
-	SubmitLatencyUS   latencyStats `json:"submit_latency_us"`
-	Samples           int64        `json:"samples"`
-	SLAPercentileUsed float64      `json:"sla_percentile_used"`
-	LatencyAtSLAUS    float64      `json:"latency_at_sla_percentile_us"`
-	SLAMet            bool         `json:"sla_met"`
 }
 
 // config is one run's axes and knobs, as parsed from the flags.
@@ -188,15 +137,9 @@ type config struct {
 	tenants, events, shards, batch, queue, producers, chunk int
 	seed                                                    int64
 	verify, binary, kill                                    bool
-	addr, leased, wal                                       string
-	nodes, stepTenants                                      int
-	stepDur                                                 time.Duration
-	slaMS, slaPct, zipf                                     float64
-	gate                                                    string
+	addr, leased, wal, gate                                 string
+	nodes                                                   int
 }
-
-// stepped reports whether the run ramps tenant concurrency.
-func (c *config) stepped() bool { return c.stepTenants > 0 && c.stepTenants < c.tenants }
 
 // check rejects, up front, flag values and axis combinations that
 // cannot run; set names the flags given explicitly.
@@ -209,8 +152,7 @@ func (c *config) check(set map[string]bool) error {
 		// The engine would silently substitute defaults for these; reject
 		// them instead so the report never misstates the measured config.
 		{c.shards < 1 || c.batch < 1 || c.queue < 1, "-shards, -batch and -queue must be >= 1"},
-		{c.nodes < 0 || c.stepTenants < 0 || c.stepDur < 0 || c.zipf < 0, "-nodes, -step-tenants, -step-duration and -zipf-sizes must be >= 0"},
-		{c.slaMS <= 0 || c.slaPct <= 0 || c.slaPct > 1, "-sla-p99 must be > 0 and -sla-percentile in (0, 1]"},
+		{c.nodes < 0, "-nodes must be >= 0"},
 		{!slices.Contains([]string{"off", "nosync", "fsync"}, c.wal), "-wal must be off, nosync or fsync"},
 		{c.addr != "" && (c.nodes > 1 || c.leased != ""), "-addr drives one running daemon; it cannot be combined with -nodes > 1 or -leased"},
 		// A running daemon's engine and log are configured by the daemon;
@@ -220,10 +162,6 @@ func (c *config) check(set map[string]bool) error {
 		{c.nodes > 1 && c.wal == "off", "-nodes >= 2 replicates the write-ahead log; it needs -wal nosync or fsync"},
 		{c.binary && c.nodes == 0 && c.addr == "", "-binary is a wire framing; it needs -nodes >= 1 or -addr"},
 		{c.kill && (c.leased == "" || c.wal == "off"), "-kill SIGKILLs a spawned durable daemon; it needs -leased and -wal nosync or fsync"},
-		{c.kill && c.stepped(), "-kill cannot be combined with stepping (-step-tenants below -tenants)"},
-		{c.stepped() && c.addr != "", "stepping opens the tenants on a fresh fleet per step; it cannot drive -addr"},
-		{c.stepped() && c.verify && c.stepDur > 0, "-verify needs whole streams, which a -step-duration deadline may cut off"},
-		{!c.stepped() && (set["sla-p99"] || set["sla-percentile"] || set["step-duration"]), "-sla-p99, -sla-percentile and -step-duration need stepping (-step-tenants below -tenants)"},
 		{c.gate == "" && set["gate-tolerance"], "-gate-tolerance requires -gate"},
 	} {
 		if r.bad {
@@ -233,12 +171,11 @@ func (c *config) check(set map[string]bool) error {
 	return nil
 }
 
-// mode names the run's target, WAL, fault and stepping axes for the
-// report and the perf gate, which refuses to compare different modes.
-// The in-process engine is the unnamed default target, so the
-// configurations of the committed snapshots keep their labels:
-// "engine" (BENCH_PR3.json), "remote" (BENCH_PR4.json, BENCH_PR7.json)
-// and "ramp" (BENCH_PR6.json).
+// mode names the run's target, WAL and fault axes for the report and
+// the perf gate, which refuses to compare different modes. The
+// in-process engine is the unnamed default target, so the
+// configurations of the committed snapshots keep their labels: "engine"
+// (BENCH_PR3.json) and "remote" (BENCH_PR4.json, BENCH_PR7.json).
 func (c *config) mode() string {
 	var parts []string
 	switch {
@@ -254,9 +191,6 @@ func (c *config) mode() string {
 	}
 	if c.kill {
 		parts = append(parts, "kill")
-	}
-	if c.stepped() {
-		parts = append(parts, "ramp")
 	}
 	if len(parts) == 0 {
 		return "engine"
@@ -284,14 +218,7 @@ func run(args []string, w io.Writer) error {
 	fs.BoolVar(&c.kill, "kill", false, "fault: SIGKILL the spawned node owning the most tenants once half the events are acknowledged, restart it (one node) or fail its tenants over (a cluster), resume every tenant and verify it against Replay")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report")
 	outPath := fs.String("out", "", "with -json: write the report to this file instead of stdout")
-	arrival := fs.String("arrival", "constant", "arrival process shaping every tenant's stream: constant, diurnal or bursty (deterministic in -seed)")
 	domainsFl := fs.String("domains", "days,deadline,elements,facility,steiner", "comma-separated domain mix tenants cycle through (any subset; 'days' alone makes the cheapest per-event apply, so the run measures the ingestion path rather than the algorithms)")
-	arrPeriod := fs.Int64("arrival-period", 64, "with -arrival diurnal: oscillation period in steps")
-	fs.Float64Var(&c.zipf, "zipf-sizes", 0, "skew per-tenant event volumes by a Zipf(s) rank-size law (0 = equal volumes); the total volume is preserved")
-	fs.IntVar(&c.stepTenants, "step-tenants", 0, "tenants added per step; below -tenants the run is stepped until the SLA breaks, 0 runs every tenant in one step")
-	fs.Float64Var(&c.slaMS, "sla-p99", 5, "stepped runs: submit-latency SLA threshold in milliseconds, checked at -sla-percentile")
-	fs.Float64Var(&c.slaPct, "sla-percentile", 0.99, "stepped runs: latency percentile the SLA is checked at, in (0, 1]; lowered to leave ten samples beyond it")
-	fs.DurationVar(&c.stepDur, "step-duration", 0, "stepped runs: per-step submission deadline, 0 for none; a step cut off here is reported as unsustainable")
 	fs.StringVar(&c.gate, "gate", "", "compare the run against this committed BENCH_*.json snapshot (same tool and mode) and fail on regression beyond -gate-tolerance")
 	gateTol := fs.Float64("gate-tolerance", 0.15, "with -gate: allowed fractional regression before the gate fails")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof format)")
@@ -301,12 +228,6 @@ func run(args []string, w io.Writer) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := c.check(set); err != nil {
-		return err
-	}
-	// Probe the arrival process once so a bad -arrival fails before any
-	// work; tenants each get their own instance (the processes are
-	// stateful) built from the same name.
-	if _, err := workload.NewArrival(*arrival, 0.5, *arrPeriod); err != nil {
 		return err
 	}
 	domainMix, err := domainList(*domainsFl)
@@ -332,20 +253,11 @@ func run(args []string, w io.Writer) error {
 	}
 
 	cfg := leasing.PowerLeaseConfig(3, 4, 0.55)
-	sizes := make([]int, c.tenants)
-	for i := range sizes {
-		sizes[i] = c.events
-	}
-	if c.zipf > 0 {
-		if sizes, err = workload.ZipfSizes(c.tenants, c.zipf, c.tenants*c.events); err != nil {
-			return err
-		}
-	}
 	ts := make([]*tenant, c.tenants)
 	domains := map[string]int{}
 	for i := range ts {
 		domain := domainMix[i%len(domainMix)]
-		if ts[i], err = buildTenant(i, domain, cfg, sim.TrialSeed(c.seed, i), sizes[i], *arrival, *arrPeriod); err != nil {
+		if ts[i], err = buildTenant(i, domain, cfg, sim.TrialSeed(c.seed, i), c.events); err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
 		}
 		domains[domain]++
@@ -373,7 +285,7 @@ func run(args []string, w io.Writer) error {
 			report.Encoding = "binary"
 		}
 	}
-	if err := measure(&report, ts, &c, *arrival); err != nil {
+	if err := measure(&report, ts, &c); err != nil {
 		return err
 	}
 
@@ -384,90 +296,7 @@ func run(args []string, w io.Writer) error {
 	} else {
 		printText(w, report)
 	}
-	if rp := report.Ramp; rp != nil && rp.MaxTenantsUnderSLA == 0 {
-		s := rp.Steps[0]
-		return fmt.Errorf("no step met the SLA: the first step (%d tenants, completed %v) read %.1fµs at p%g over %d samples against %gms",
-			s.Tenants, s.Completed, s.LatencyAtSLAUS, 100*s.SLAPercentileUsed, s.Samples, rp.SLALatencyMS)
-	}
 	return gateCheck(report, c.gate, *gateTol, w)
-}
-
-// measure runs the steps. Each serves the first n tenants from a fresh
-// fleet (so steps are independent measurements, not survivors of
-// earlier saturation), n growing by -step-tenants until either the SLA
-// breaks or the -tenants ceiling holds it; an unstepped run is one step
-// over every tenant. A step meets the SLA when its whole load was
-// submitted before the step deadline AND its latency at the SLA
-// percentile stays under the threshold. A stepped run's headline is
-// its knee — the last step that met the SLA — and a one-step run's is
-// its measured rate.
-func measure(report *jsonReport, ts []*tenant, c *config, arrival string) error {
-	size := len(ts)
-	if c.stepped() {
-		size = c.stepTenants
-	}
-	r := &rampReport{
-		SLAPercentile:  c.slaPct,
-		SLALatencyMS:   c.slaMS,
-		StepTenants:    c.stepTenants,
-		StepDurationMS: float64(c.stepDur.Milliseconds()),
-		Arrival:        arrival,
-	}
-	for n := size; ; n += size {
-		n = min(n, len(ts))
-		s, m, err := runStep(c, ts[:n])
-		if err != nil {
-			return err
-		}
-		r.Steps = append(r.Steps, s)
-		// The top-level totals describe every step.
-		report.TotalEvents += s.SubmittedEvents
-		report.ElapsedMS += s.ElapsedMS
-		report.Engine = m
-		if s.SLAMet {
-			r.MaxTenantsUnderSLA = s.Tenants
-			r.MaxEventsPerSecUnderSLA = s.EventsPerSec
-			report.SubmitLatencyUS = s.SubmitLatencyUS
-		}
-		if !s.SLAMet || n == len(ts) {
-			break
-		}
-	}
-	if c.stepped() {
-		report.Ramp = r
-		report.EventsPerSec = r.MaxEventsPerSecUnderSLA
-	} else {
-		report.EventsPerSec = r.Steps[0].EventsPerSec
-		report.SubmitLatencyUS = r.Steps[0].SubmitLatencyUS
-	}
-	if c.addr != "" {
-		// The daemon owns its engine and log configuration: report the
-		// shard count it actually runs (visible in its metrics) and zero
-		// the knobs the load generator cannot observe.
-		report.Shards = len(report.Engine.Shards)
-		report.Batch, report.Queue, report.WAL = 0, 0, ""
-	}
-	if c.verify {
-		report.Verified = &c.verify
-	}
-	return nil
-}
-
-// slaQuantile is the quantile a step's SLA is checked at: q, unless
-// fewer than minBeyond of the n samples lie beyond it, then the highest
-// quantile that leaves minBeyond beyond (the maximum when there are no
-// more than minBeyond samples). A p99 over a step's ~125 submits would
-// rest on one or two of them, so a single scheduling hiccup could break
-// the SLA; servebench reports its tails by the same rule.
-func slaQuantile(n int64, q float64) float64 {
-	switch {
-	case float64(n)*(1-q) >= minBeyond:
-		return q
-	case n <= minBeyond:
-		return 1
-	default:
-		return float64(n-minBeyond) / float64(n)
-	}
 }
 
 // produce partitions tenants across -producers goroutines; each
@@ -481,10 +310,8 @@ func slaQuantile(n int64, q float64) float64 {
 // across their flush barrier, and the first submit error: a failed
 // producer stops, and the run is reported as failed rather than as a
 // silently partial success — unless the error came after the kill,
-// which is the point. A non-nil stop is polled between submits; once it
-// reports true producers wind down cleanly — how a step enforces its
-// deadline.
-func (f *fleet) produce(ts []*tenant, res *stats.Reservoir, stop func() bool) (time.Time, error) {
+// which is the point.
+func (f *fleet) produce(ts []*tenant, res *stats.Reservoir) (time.Time, error) {
 	producers, chunk := f.c.producers, f.c.chunk
 	errs := make([]error, producers)
 	var wg sync.WaitGroup
@@ -498,9 +325,6 @@ func (f *fleet) produce(ts []*tenant, res *stats.Reservoir, stop func() bool) (t
 				live = false
 				for i := p; i < len(ts); i += producers {
 					t := ts[i]
-					if stop != nil && stop() {
-						return
-					}
 					if lo >= len(t.events) {
 						continue
 					}
@@ -559,20 +383,14 @@ func domainList(list string) ([]string, error) {
 }
 
 // buildTenant synthesizes one tenant's event stream and wire spec in
-// the given domain. All randomness flows from tseed, so a
-// tenant is reproducible independent of the others. The arrival process
-// named by arrivalName gates which steps carry demand; each tenant gets
-// its own instance (the processes are stateful), with mean rate 0.5 so
-// every process lands near the same event volume. "constant" consumes
-// the rng exactly like the original Bernoulli(0.5) streams, so default
-// traffic is unchanged across committed seeds and BENCH snapshots.
-func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, events int, arrivalName string, period int64) (*tenant, error) {
+// the given domain. All randomness flows from tseed, so a tenant is
+// reproducible independent of the others. Demand arrives with
+// probability 0.5 on each of the horizon's 2·events steps, so a tenant
+// lands near the requested event count.
+func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, events int) (*tenant, error) {
 	rng := rand.New(rand.NewSource(tseed))
 	horizon := int64(2 * events)
-	arr, err := workload.NewArrival(arrivalName, 0.5, period)
-	if err != nil {
-		return nil, err
-	}
+	arr := &workload.Constant{P: 0.5}
 	t := &tenant{
 		name: fmt.Sprintf("t%04d-%s", i, domain),
 		spec: leasing.RemoteOpenRequest{Types: leasing.WireLeaseTypes(cfg)},
@@ -630,20 +448,10 @@ func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, ev
 		}
 		// Steps are halved so a facility tenant lands near the same event
 		// count as the others while still exercising multi-client steps.
-		// The constant process keeps the original per-step client draw
-		// byte-for-byte (committed BENCH traffic); other processes gate
-		// which steps receive clients, like every other domain.
 		batches := make([][]leasing.Point, events/2+1)
 		wbatches := make([][]wire.Point, len(batches))
 		for step := range batches {
-			c := rng.Intn(3)
-			if arrivalName != "constant" {
-				c = 0
-				if arr.Step(rng, int64(step)) {
-					c = 1 + rng.Intn(2)
-				}
-			}
-			for ; c > 0; c-- {
+			for c := rng.Intn(3); c > 0; c-- {
 				s := sites[rng.Intn(sitesN)]
 				p := leasing.Point{X: s.X + rng.Float64()*4, Y: s.Y + rng.Float64()*4}
 				batches[step] = append(batches[step], p)
@@ -655,9 +463,9 @@ func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, ev
 		t.spec.Facility = &wire.FacilitySpec{Sites: sites, Costs: facCosts, Batches: wbatches}
 
 	case "reusable":
-		// Reusable-resource pool: demand steps gated by the arrival
-		// process, usage durations uniform in [1, 8], capacity sized so
-		// both grants and whole-pool-busy rejections occur.
+		// Reusable-resource pool: usage durations uniform in [1, 8],
+		// capacity sized so both grants and whole-pool-busy rejections
+		// occur.
 		days := workload.ArrivalDays(rng, horizon, arr)
 		reqs := make([]leasing.ReusableRequest, len(days))
 		for j, d := range days {
@@ -737,26 +545,5 @@ func printText(w io.Writer, r jsonReport) {
 		r.Engine.Batches, float64(r.Engine.Events)/float64(max(r.Engine.Batches, 1)), r.Engine.Dropped, r.Engine.Cost)
 	if r.Verified != nil {
 		fmt.Fprintf(w, "verified: every tenant byte-identical to single-threaded Replay: %v\n", *r.Verified)
-	}
-	if rp := r.Ramp; rp != nil {
-		fmt.Fprintf(w, "ramp:    SLA p%g <= %.1fms, +%d tenants per step, %.0fms step deadline, %s arrivals\n",
-			100*rp.SLAPercentile, rp.SLALatencyMS, rp.StepTenants, rp.StepDurationMS, rp.Arrival)
-		for _, s := range rp.Steps {
-			verdict := "SLA met"
-			if !s.SLAMet {
-				verdict = "SLA broken"
-				if !s.Completed {
-					verdict = "SLA broken (cut off at deadline)"
-				}
-			}
-			fmt.Fprintf(w, "  %4d tenants: %8.0f events/s  p%g of n=%d: %.0fµs  %s\n",
-				s.Tenants, s.EventsPerSec, math.Round(1e4*s.SLAPercentileUsed)/100, s.Samples, s.LatencyAtSLAUS, verdict)
-		}
-		if rp.MaxTenantsUnderSLA > 0 {
-			fmt.Fprintf(w, "max sustainable under SLA: %d tenants at %.0f events/s\n",
-				rp.MaxTenantsUnderSLA, rp.MaxEventsPerSecUnderSLA)
-		} else {
-			fmt.Fprintln(w, "max sustainable under SLA: none — the first step already broke the SLA")
-		}
 	}
 }

@@ -7,11 +7,15 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"leasing/internal/benchgate"
 )
 
 // runJSON runs leaseload with -json appended and decodes the report.
@@ -171,22 +175,20 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestRampBadFlags: stepped runs (-step-tenants below -tenants), their
-// SLA flags, the perf gate and the traffic-shape values reject what
-// cannot run, before any work.
+// TestRampBadFlags: the perf gate's tolerance needs a gate, and the
+// retired ramp's stepping, SLA and traffic-shaping flags fail up front,
+// so a command line written for the ramp cannot quietly run one
+// fixed-work load in its place.
 func TestRampBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"-kill while stepping":          {"-kill", "-leased", "/tmp/leased", "-nodes", "1", "-wal", "fsync", "-step-tenants", "4"},
-		"stepping -addr":                {"-addr", "http://127.0.0.1:1", "-step-tenants", "4"},
-		"-verify with a step deadline":  {"-step-tenants", "4", "-step-duration", "1s", "-verify"},
-		"-sla-p99 without stepping":     {"-sla-p99", "3"},
-		"-step-duration without steps":  {"-step-duration", "1s"},
-		"-sla-percentile without steps": {"-sla-percentile", "0.9", "-step-tenants", "64"},
 		"-gate-tolerance without -gate": {"-gate-tolerance", "0.2"},
-		"zero sla":                      {"-step-tenants", "4", "-sla-p99", "0"},
-		"bad percentile":                {"-step-tenants", "4", "-sla-percentile", "1.5"},
-		"negative step":                 {"-step-tenants", "-1"},
-		"negative zipf":                 {"-zipf-sizes", "-1"},
+		"-step-tenants":                 {"-step-tenants", "4"},
+		"-step-duration":                {"-step-duration", "1s"},
+		"-sla-p99":                      {"-sla-p99", "3"},
+		"-sla-percentile":               {"-sla-percentile", "0.9"},
+		"-arrival":                      {"-arrival", "bursty"},
+		"-arrival-period":               {"-arrival-period", "1s"},
+		"-zipf-sizes":                   {"-zipf-sizes", "1.2"},
 	} {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
@@ -200,11 +202,10 @@ func TestRampBadFlags(t *testing.T) {
 func TestModeLabels(t *testing.T) {
 	for want, c := range map[string]config{
 		"engine":                 {tenants: 64},
-		"ramp":                   {tenants: 64, stepTenants: 16},
 		"remote":                 {tenants: 64, nodes: 1},
 		"wal-fsync":              {tenants: 64, wal: "fsync"},
 		"cluster4-wal-nosync":    {tenants: 64, nodes: 4, wal: "nosync"},
-		"remote-wal-nosync-ramp": {tenants: 64, nodes: 1, wal: "nosync", stepTenants: 8},
+		"remote-wal-nosync":      {tenants: 64, nodes: 1, wal: "nosync"},
 		"leased3-wal-fsync-kill": {tenants: 64, nodes: 3, wal: "fsync", leased: "leased", kill: true},
 	} {
 		if c.wal == "" {
@@ -212,26 +213,6 @@ func TestModeLabels(t *testing.T) {
 		}
 		if got := c.mode(); got != want {
 			t.Errorf("mode of %+v = %q, want %q", c, got, want)
-		}
-	}
-}
-
-// TestSLAQuantile pins the ten-beyond rule a step's SLA is checked at.
-func TestSLAQuantile(t *testing.T) {
-	for _, c := range []struct {
-		n       int64
-		q, want float64
-	}{
-		{4096, 0.99, 0.99},
-		{1000, 0.99, 0.99},
-		{125, 0.99, 0.92},
-		{20, 0.5, 0.5},
-		{11, 0.99, 1.0 / 11},
-		{10, 0.99, 1},
-		{0, 0.99, 1},
-	} {
-		if got := slaQuantile(c.n, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("slaQuantile(%d, %g) = %g, want %g", c.n, c.q, got, c.want)
 		}
 	}
 }
@@ -315,26 +296,6 @@ func TestInProcessCluster(t *testing.T) {
 	}
 }
 
-// TestSteppedRemote ramps over a loopback daemon: every step gets a
-// fresh one, and with verification every step's tenants check out.
-func TestSteppedRemote(t *testing.T) {
-	rep := runJSON(t, "-nodes", "1", "-tenants", "8", "-events", "40",
-		"-step-tenants", "4", "-sla-p99", "10000", "-verify")
-	if rep.Mode != "remote-ramp" || rep.Ramp == nil {
-		t.Fatalf("mode = %q, ramp = %v", rep.Mode, rep.Ramp)
-	}
-	if got := len(rep.Ramp.Steps); got != 2 {
-		t.Errorf("steps = %d, want 2", got)
-	}
-	if rep.Ramp.MaxTenantsUnderSLA != 8 || rep.EventsPerSec != rep.Ramp.MaxEventsPerSecUnderSLA {
-		t.Errorf("knee = %d tenants at %v, headline %v", rep.Ramp.MaxTenantsUnderSLA,
-			rep.Ramp.MaxEventsPerSecUnderSLA, rep.EventsPerSec)
-	}
-	if rep.Verified == nil || !*rep.Verified {
-		t.Error("stepped run was not verified against Replay")
-	}
-}
-
 // TestRemoteVerified drives the whole remote path end to end: an
 // in-process loopback daemon, sessions opened from wire specs, events
 // submitted over HTTP, and every tenant's result verified byte-identical
@@ -373,99 +334,6 @@ func TestRemoteMatchesEngineMode(t *testing.T) {
 	}
 	if !sameCost(local.Engine.Cost, remote.Engine.Cost) {
 		t.Errorf("costs differ: engine %v vs remote %v", local.Engine.Cost, remote.Engine.Cost)
-	}
-}
-
-// TestRampReport runs a small stepped ramp with a generous SLA so every
-// step passes, and checks the ramp section is complete and the knee is
-// mirrored into the report's top-level throughput figure.
-func TestRampReport(t *testing.T) {
-	rep := runJSON(t, "-tenants", "12", "-events", "40", "-step-tenants", "4",
-		"-step-duration", "10s", "-sla-p99", "10000")
-	if rep.Mode != "ramp" {
-		t.Errorf("mode = %q, want ramp", rep.Mode)
-	}
-	if rep.Ramp == nil {
-		t.Fatal("report has no ramp section")
-	}
-	if got := len(rep.Ramp.Steps); got != 3 {
-		t.Errorf("steps = %d, want 3 (12 tenants in steps of 4)", got)
-	}
-	for i, s := range rep.Ramp.Steps {
-		if want := 4 * (i + 1); s.Tenants != want {
-			t.Errorf("step %d tenants = %d, want %d", i, s.Tenants, want)
-		}
-		if !s.SLAMet || !s.Completed {
-			t.Errorf("step %d broke a 10s SLA: %+v", i, s)
-		}
-		if s.SubmittedEvents <= 0 || s.EventsPerSec <= 0 {
-			t.Errorf("step %d has no throughput: %+v", i, s)
-		}
-		if s.Samples <= 0 || s.SLAPercentileUsed != slaQuantile(s.Samples, 0.99) {
-			t.Errorf("step %d checked its SLA at p%g of n=%d", i, 100*s.SLAPercentileUsed, s.Samples)
-		}
-	}
-	if rep.Ramp.MaxTenantsUnderSLA != 12 {
-		t.Errorf("knee = %d tenants, want 12", rep.Ramp.MaxTenantsUnderSLA)
-	}
-	last := rep.Ramp.Steps[len(rep.Ramp.Steps)-1]
-	if rep.Ramp.MaxEventsPerSecUnderSLA != last.EventsPerSec {
-		t.Errorf("knee throughput %v != last step %v", rep.Ramp.MaxEventsPerSecUnderSLA, last.EventsPerSec)
-	}
-	if rep.EventsPerSec != rep.Ramp.MaxEventsPerSecUnderSLA {
-		t.Errorf("top-level events_per_sec %v does not mirror the knee %v",
-			rep.EventsPerSec, rep.Ramp.MaxEventsPerSecUnderSLA)
-	}
-}
-
-// TestRampFirstStepBreaks: an impossible SLA means no sustainable step.
-// The text report says so instead of inventing a knee, and the run
-// fails naming the first step's latency and sample count.
-func TestRampFirstStepBreaks(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-tenants", "4", "-events", "30", "-step-tenants", "2",
-		"-sla-p99", "0.0001",
-	}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "samples") || !strings.Contains(err.Error(), "µs") {
-		t.Errorf("err = %v, want the first step's latency and sample count", err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "none — the first step already broke the SLA") {
-		t.Errorf("output missing the no-knee verdict:\n%s", out)
-	}
-}
-
-// TestArrivalDeterminism: the shaped arrival processes are pure
-// functions of the seed, and unknown names are rejected up front.
-func TestArrivalDeterminism(t *testing.T) {
-	for _, name := range []string{"diurnal", "bursty"} {
-		args := []string{"-tenants", "8", "-events", "50", "-arrival", name}
-		a, b := runJSON(t, args...), runJSON(t, args...)
-		if a.TotalEvents <= 0 {
-			t.Errorf("%s: no events submitted", name)
-		}
-		if a.TotalEvents != b.TotalEvents || !sameCost(a.Engine.Cost, b.Engine.Cost) {
-			t.Errorf("%s: runs differ: %d/%v vs %d/%v",
-				name, a.TotalEvents, a.Engine.Cost, b.TotalEvents, b.Engine.Cost)
-		}
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-arrival", "lumpy"}, &buf); err == nil {
-		t.Error("unknown arrival process accepted")
-	}
-}
-
-// TestZipfSizesFlag: skewed per-tenant volumes stay deterministic and
-// reshape the load without dropping it.
-func TestZipfSizesFlag(t *testing.T) {
-	args := []string{"-tenants", "8", "-events", "50", "-zipf-sizes", "1.2", "-verify"}
-	a, b := runJSON(t, args...), runJSON(t, args...)
-	if a.TotalEvents <= 0 || a.TotalEvents != b.TotalEvents {
-		t.Errorf("zipf runs not deterministic: %d vs %d", a.TotalEvents, b.TotalEvents)
-	}
-	if a.Verified == nil || !*a.Verified {
-		t.Error("zipf-skewed run was not verified against Replay")
 	}
 }
 
@@ -510,5 +378,54 @@ func TestGateFlag(t *testing.T) {
 	err = run(append(args, "-gate", bad, "-gate-tolerance", "0.15"), &buf)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Errorf("gate against inflated baseline: err = %v, want regression", err)
+	}
+}
+
+// TestCIGateModes runs every leaseload -gate command of the CI workflow
+// on a small load, with -gate, -gate-tolerance and -out removed, and
+// requires the report's mode to be the one its committed snapshot
+// carries: a gate whose reference was measured in another mode can
+// never pass, and this catches it in go test rather than in CI.
+func TestCIGateModes(t *testing.T) {
+	root := filepath.Join("..", "..")
+	raw, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+		fields := strings.Fields(line)
+		at := slices.IndexFunc(fields, func(f string) bool { return path.Base(f) == "leaseload" })
+		if at < 0 || !slices.Contains(fields, "-gate") {
+			continue
+		}
+		var ref string
+		var args []string
+		for i := at + 1; i < len(fields); i++ {
+			switch fields[i] {
+			case "-gate":
+				i++
+				ref = fields[i]
+			case "-gate-tolerance", "-out":
+				i++
+			default:
+				args = append(args, fields[i])
+			}
+		}
+		gates++
+		t.Run(ref, func(t *testing.T) {
+			want, err := benchgate.Load(filepath.Join(root, ref))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := runJSON(t, append(args, "-tenants", "8", "-events", "20")...)
+			if rep.Mode != want.Mode {
+				t.Errorf("leaseload %s runs in mode %q; %s was measured in mode %q",
+					strings.Join(args, " "), rep.Mode, ref, want.Mode)
+			}
+		})
+	}
+	if gates == 0 {
+		t.Fatal("the CI workflow has no leaseload -gate command")
 	}
 }

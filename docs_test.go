@@ -57,7 +57,7 @@ func TestReadmeMentionsDeliverables(t *testing.T) {
 		"Leaser", "Replay", "Interleave", "Engine", "Serve", "Dial",
 		"OpenDurableLog", "RecoverEngine",
 		"-json", "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR5.json",
-		"BENCH_PR6.json", "-step-tenants", "-gate", "Prometheus",
+		"BENCH_PR6.json", "servebench", "-gate", "Prometheus",
 		"docs/CLUSTER.md", "BENCH_PR8.json", "DialCluster", "-peers",
 		"failover", "-nodes", "-wal", "-kill", "-leased", "BENCH_PR14.json",
 	} {
@@ -231,9 +231,8 @@ func TestOperationsDocLinked(t *testing.T) {
 		"SIGTERM", "429", "BENCH_PR3.json", "BENCH_PR4.json", "BENCH_PR5.json",
 		"BENCH_PR6.json", "BENCH_PR7.json", "/v1/metrics", "/v1/healthz", "API.md",
 		"ARCHITECTURE.md", "DURABILITY.md", "Backup", "compact",
-		"Capacity planning", "-sla-p99", "-sla-percentile", "-step-tenants",
-		"-step-duration", "-gate", "-gate-tolerance", "-arrival",
-		"-zipf-sizes", "promtool", "format=prometheus",
+		"Capacity planning", "-tenants", "servebench", "-gate",
+		"-gate-tolerance", "promtool", "format=prometheus",
 		"Binary framing", "application/x-lease-binary", "-binary",
 		"-domains", "-cpuprofile",
 		"leased_engine_events_total", "leased_wal_appends_total",

@@ -5,8 +5,8 @@
 // than the snapshot by more than the configured tolerance. Improvements
 // never fail, and a report can only be gated against a snapshot of the
 // same tool and mode. A leaseload mode is a label derived from the run's
-// target, WAL and stepping axes, so a stepped in-process run cannot
-// quietly "pass" against a one-step or a remote baseline.
+// target, WAL and fault axes, so an in-process run cannot quietly
+// "pass" against a remote or a durable baseline.
 package benchgate
 
 import (
@@ -30,22 +30,18 @@ type Metric struct {
 
 // FromReport extracts the headline metric from a serialized report:
 //
-//	leasebench (any mode)       -> total_ms, lower is better
-//	leaseload durable-bench     -> fsync_off.events_per_sec, higher is better
-//	leaseload (any other mode)  -> events_per_sec, higher is better
+//	leasebench (any mode)  -> total_ms, lower is better
+//	leaseload (any mode)   -> events_per_sec, higher is better
 //
-// A stepped leaseload run mirrors its knee into events_per_sec. The
-// durable-bench case reads only the committed BENCH_PR5.json, the one
-// report that combines two runs.
+// BENCH_PR5.json, which pairs two WAL runs under sections of their own,
+// has no top-level figure and is not a gate reference; docs/DURABILITY.md
+// reads it through wal.LoadBenchPair.
 func FromReport(raw []byte) (Metric, error) {
 	var doc struct {
 		Tool         string  `json:"tool"`
 		Mode         string  `json:"mode"`
 		EventsPerSec float64 `json:"events_per_sec"`
 		TotalMS      float64 `json:"total_ms"`
-		FsyncOff     *struct {
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"fsync_off"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return Metric{}, fmt.Errorf("benchgate: parse report: %w", err)
@@ -54,11 +50,6 @@ func FromReport(raw []byte) (Metric, error) {
 	switch {
 	case doc.Tool == "leasebench":
 		m.Name, m.Value, m.HigherBetter = "total_ms", doc.TotalMS, false
-	case doc.Tool == "leaseload" && doc.Mode == "durable-bench":
-		if doc.FsyncOff == nil {
-			return Metric{}, fmt.Errorf("benchgate: durable-bench report has no fsync_off section")
-		}
-		m.Name, m.Value, m.HigherBetter = "fsync_off.events_per_sec", doc.FsyncOff.EventsPerSec, true
 	case doc.Tool == "leaseload":
 		m.Name, m.Value, m.HigherBetter = "events_per_sec", doc.EventsPerSec, true
 	default:

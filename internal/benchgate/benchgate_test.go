@@ -32,12 +32,8 @@ func TestFromReportSchemas(t *testing.T) {
 			wantName: "events_per_sec", wantValue: 9000, wantHigher: true,
 		},
 		{
-			name:     "durable-bench",
-			raw:      `{"tool":"leaseload","mode":"durable-bench","fsync_off":{"events_per_sec":7000},"fsync_on":{"events_per_sec":900}}`,
-			wantName: "fsync_off.events_per_sec", wantValue: 7000, wantHigher: true,
-		},
-		{
-			// A stepped run mirrors its knee to the top level.
+			// BENCH_PR6.json, the retired stepped ramp, mirrored its knee
+			// to the top level.
 			name:     "ramp",
 			raw:      `{"tool":"leaseload","mode":"ramp","events_per_sec":4800,"ramp":{"max_events_per_sec_under_sla":4800}}`,
 			wantName: "events_per_sec", wantValue: 4800, wantHigher: true,
@@ -70,11 +66,10 @@ func TestFromReportSchemas(t *testing.T) {
 
 func TestFromReportRejects(t *testing.T) {
 	for name, raw := range map[string]string{
-		"unknown tool":              `{"tool":"x","mode":"y"}`,
-		"missing figure":            `{"tool":"leaseload","mode":"engine"}`,
-		"ramp without knee":         `{"tool":"leaseload","mode":"ramp","events_per_sec":0,"ramp":{"max_events_per_sec_under_sla":0}}`,
-		"durable without fsync_off": `{"tool":"leaseload","mode":"durable-bench","events_per_sec":5}`,
-		"not json":                  `events/s: lots`,
+		"unknown tool":      `{"tool":"x","mode":"y"}`,
+		"missing figure":    `{"tool":"leaseload","mode":"engine"}`,
+		"ramp without knee": `{"tool":"leaseload","mode":"ramp","events_per_sec":0,"ramp":{"max_events_per_sec_under_sla":0}}`,
+		"not json":          `events/s: lots`,
 	} {
 		if _, err := FromReport([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -85,7 +80,7 @@ func TestFromReportRejects(t *testing.T) {
 // TestCheck covers both orientations, the tolerance boundary, and the
 // mode-mismatch guard.
 func TestCheck(t *testing.T) {
-	ref := Metric{Tool: "leaseload", Mode: "ramp", Name: "events_per_sec", Value: 1000, HigherBetter: true}
+	ref := Metric{Tool: "leaseload", Mode: "engine", Name: "events_per_sec", Value: 1000, HigherBetter: true}
 	meas := func(v float64) Metric { m := ref; m.Value = v; return m }
 
 	if err := Check(meas(1000), ref, 0.15); err != nil {
@@ -113,9 +108,9 @@ func TestCheck(t *testing.T) {
 		t.Errorf("lower-better improvement failed: %v", err)
 	}
 
-	// Modes name a run's target, WAL and stepping axes: a change in any
-	// of them is a different measurement.
-	for _, mode := range []string{"engine", "remote-ramp", "wal-nosync-ramp"} {
+	// Modes name a run's target, WAL and fault axes: a change in any of
+	// them is a different measurement.
+	for _, mode := range []string{"remote", "wal-nosync", "cluster4-wal-nosync"} {
 		other := ref
 		other.Mode = mode
 		if err := Check(other, ref, 0.15); err == nil {
@@ -129,7 +124,8 @@ func TestCheck(t *testing.T) {
 
 // TestLoadCommittedSnapshots: every BENCH_*.json in the repo root stays
 // loadable — the gate must never be silently unable to read its own
-// references.
+// references — except BENCH_PR5.json, the two-run WAL pair, which has
+// no top-level figure and must be refused rather than gated.
 func TestLoadCommittedSnapshots(t *testing.T) {
 	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
@@ -140,6 +136,12 @@ func TestLoadCommittedSnapshots(t *testing.T) {
 	}
 	for _, path := range matches {
 		m, err := Load(path)
+		if filepath.Base(path) == "BENCH_PR5.json" {
+			if err == nil {
+				t.Errorf("BENCH_PR5.json loaded as a gate reference: %+v", m)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("%s: %v", filepath.Base(path), err)
 			continue

@@ -84,10 +84,11 @@ so nearly-identical URLs still scatter). A tenant is owned by the
 member whose point follows the tenant's hash clockwise. Two properties
 make this the right placement for a stateful fleet:
 
-- **Bounded load.** `+"`Place`"+` caps every member at
-  `+"`ceil(%.2f * tenants / members)`"+` sessions and spills an
-  over-cap tenant to its next distinct successor, so one hot arc of
-  the ring cannot overload a node.
+- **Even spread.** Every member owns many short arcs, so the hash
+  alone spreads tenants evenly: no member of a 1- to 16-node ring owns
+  more than 1.25 times its even share of a seeded population of 2,048
+  tenants. There is no load cap and no spill: a tenant's node is its
+  hash owner until that owner leaves the ring.
 - **Minimal movement.** Removing a member moves only the tenants it
   owned; every other tenant keeps its node (the property tests pin
   both bounds).
@@ -97,7 +98,7 @@ its **replica** — the next distinct member clockwise from its hash.
 That is exactly the node its WAL records are shipped to, so failover
 traffic arrives where the tenant's history already lives.
 
-`, DefaultVnodes, DefaultLoadFactor)
+`, DefaultVnodes)
 	b.WriteString(`## Request routing
 
 A tenant-scoped request to the wrong node is answered with a ` + "`307`" + `
@@ -205,9 +206,10 @@ the nodes split the same cores and the speedup column isolates what
 replication itself costs (ship, follower append, redirect-free
 routing) rather than what added hardware buys. Two further caveats
 carry over to real fleets: placement spreads tenants, not events — a
-skewed workload (`+"`-zipf-sizes`"+`) scales by the load of the busiest
-node's tenants — and every shipped record is a second append, so a
-fleet buys capacity only when nodes stop sharing spindles and cores.
+workload whose tenants differ in volume scales by the load of the
+busiest node's tenants — and every shipped record is a second append,
+so a fleet buys capacity only when nodes stop sharing spindles and
+cores.
 `, bench.ScalingEfficiency)
 	} else {
 		b.WriteString(`No committed BENCH_PR8.json was found next to this document, so the

@@ -11,10 +11,6 @@
 // replica of a tenant is the next distinct member clockwise, which is
 // exactly where the tenant lands when its owner is removed from the
 // ring: shipped history is already sitting on the failover target.
-//
-// Place layers the bounded-load variant on top for balance-sensitive
-// callers: no node is assigned more than ceil(factor·T/N) tenants, with
-// overflow walking clockwise to the next member with spare capacity.
 package cluster
 
 import (
@@ -27,14 +23,9 @@ import (
 // ring_test.go within their bounds up to 16 nodes.
 const DefaultVnodes = 256
 
-// DefaultLoadFactor is the bounded-load cap multiplier used by Place
-// callers that have no reason to pick another: no member is assigned
-// more than ceil(1.25·T/N) tenants.
-const DefaultLoadFactor = 1.25
-
 // Ring is an immutable consistent-hash ring over a member set. Create
-// it with New; derive membership changes with With/Without. All methods
-// are safe for concurrent use.
+// it with New; derive a ring without a failed member with Without. All
+// methods are safe for concurrent use.
 type Ring struct {
 	vnodes  int
 	members []string // sorted, unique
@@ -112,11 +103,6 @@ func (r *Ring) Without(member string) (*Ring, error) {
 	return New(rest, r.vnodes)
 }
 
-// With derives a ring with member added.
-func (r *Ring) With(member string) (*Ring, error) {
-	return New(append(r.Members(), member), r.vnodes)
-}
-
 // Owner returns the member owning the tenant: the first virtual node
 // clockwise from the tenant's hash.
 func (r *Ring) Owner(tenant string) string {
@@ -162,72 +148,6 @@ func (r *Ring) Replica(tenant string) string {
 		return ""
 	}
 	return s[1]
-}
-
-// Cap is the bounded-load assignment limit: ceil(factor·tenants/members),
-// and never below 1.
-func Cap(tenants, members int, factor float64) int {
-	if factor < 1 {
-		factor = 1
-	}
-	c := int(factor * float64(tenants) / float64(members))
-	if float64(c)*float64(members) < factor*float64(tenants) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// Place assigns every tenant a member with the bounded-load variant: no
-// member receives more than Cap(len(tenants), members, factor) tenants;
-// a tenant whose owner is full walks clockwise to the next member with
-// spare capacity. Tenants are processed in ring order (hash, then
-// name), so the table is a pure function of (members, tenants, factor)
-// and every node and client computes the same one. Duplicate tenants
-// are rejected.
-func (r *Ring) Place(tenants []string, factor float64) (map[string]string, error) {
-	if factor <= 0 {
-		factor = DefaultLoadFactor
-	}
-	ordered := append([]string(nil), tenants...)
-	sort.Slice(ordered, func(i, j int) bool {
-		hi, hj := ringHash(ordered[i]), ringHash(ordered[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return ordered[i] < ordered[j]
-	})
-	for i := 1; i < len(ordered); i++ {
-		if ordered[i-1] == ordered[i] {
-			return nil, fmt.Errorf("cluster: duplicate tenant %q", ordered[i])
-		}
-	}
-	limit := Cap(len(tenants), len(r.members), factor)
-	load := make([]int, len(r.members))
-	out := make(map[string]string, len(tenants))
-	for _, t := range ordered {
-		placed := false
-		seen := make(map[int]bool, len(r.members))
-		for i, start := 0, r.ownerPoint(t); i < len(r.points) && !placed; i++ {
-			p := r.points[(start+i)%len(r.points)]
-			if seen[p.member] {
-				continue
-			}
-			seen[p.member] = true
-			if load[p.member] < limit {
-				load[p.member]++
-				out[t] = r.members[p.member]
-				placed = true
-			}
-		}
-		if !placed {
-			// Unreachable: limit·members >= tenants by construction.
-			return nil, fmt.Errorf("cluster: no capacity for tenant %q", t)
-		}
-	}
-	return out, nil
 }
 
 // vnodeHash positions one virtual node. FNV alone leaves per-member

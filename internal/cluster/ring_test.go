@@ -143,10 +143,7 @@ func TestOwnerMinimalMovementOnJoin(t *testing.T) {
 	for n := 1; n <= 15; n++ {
 		r := mustRing(t, testMembers(n))
 		joined := fmt.Sprintf("http://10.0.1.%d:8080", n+1)
-		bigger, err := r.With(joined)
-		if err != nil {
-			t.Fatalf("n=%d: With: %v", n, err)
-		}
+		bigger := mustRing(t, append(testMembers(n), joined))
 		for _, tn := range tenants {
 			before, after := r.Owner(tn), bigger.Owner(tn)
 			if after != before && after != joined {
@@ -157,132 +154,26 @@ func TestOwnerMinimalMovementOnJoin(t *testing.T) {
 	}
 }
 
-// TestPlaceBalanceWithinBoundedLoad: across 1..16 nodes and a range of
-// factors, no node is assigned more than the bounded-load cap
-// ceil(factor·T/N), every tenant is placed, and the table is
-// reproducible.
-func TestPlaceBalanceWithinBoundedLoad(t *testing.T) {
+// TestOwnerBalance: across 1..16 nodes the hash alone spreads the
+// seeded population evenly — no member owns more than 1.25 times its
+// even share (the bound docs/CLUSTER.md states) — and every owner is a
+// member.
+func TestOwnerBalance(t *testing.T) {
 	tenants := seededTenants(t, testTenants)
 	for n := 1; n <= 16; n++ {
 		r := mustRing(t, testMembers(n))
-		for _, factor := range []float64{1.0, 1.1, DefaultLoadFactor} {
-			place, err := r.Place(tenants, factor)
-			if err != nil {
-				t.Fatalf("n=%d factor=%.2f: Place: %v", n, factor, err)
+		load := map[string]int{}
+		for _, tn := range tenants {
+			m := r.Owner(tn)
+			if !r.Has(m) {
+				t.Fatalf("n=%d: tenant %s owned by non-member %s", n, tn, m)
 			}
-			if len(place) != len(tenants) {
-				t.Fatalf("n=%d factor=%.2f: placed %d of %d tenants", n, factor, len(place), len(tenants))
-			}
-			limit := Cap(len(tenants), n, factor)
-			load := map[string]int{}
-			for tn, m := range place {
-				if !r.Has(m) {
-					t.Fatalf("n=%d: tenant %s placed on non-member %s", n, tn, m)
-				}
-				load[m]++
-			}
-			for m, c := range load {
-				if c > limit {
-					t.Fatalf("n=%d factor=%.2f: node %s carries %d tenants, cap %d", n, factor, m, c, limit)
-				}
-			}
-			again, err := r.Place(tenants, factor)
-			if err != nil {
-				t.Fatalf("n=%d factor=%.2f: second Place: %v", n, factor, err)
-			}
-			for tn, m := range place {
-				if again[tn] != m {
-					t.Fatalf("n=%d factor=%.2f: Place not deterministic for tenant %s", n, factor, tn)
-				}
-			}
+			load[m]++
 		}
-	}
-}
-
-// TestPlaceMovementWithinCap: a membership change never moves more
-// tenants than one node's bounded-load share. The bound is the cap of
-// the smaller fleet, ceil(factor·T/N) — the ceil(T/N) fair share
-// widened by the same load factor the balance property allows, since
-// the departing (or claiming) node can legitimately carry up to the
-// cap. The worst case over every possible leaver is asserted.
-func TestPlaceMovementWithinCap(t *testing.T) {
-	tenants := seededTenants(t, testTenants)
-	const factor = DefaultLoadFactor
-	for n := 2; n <= 16; n++ {
-		members := testMembers(n)
-		r := mustRing(t, members)
-		place, err := r.Place(tenants, factor)
-		if err != nil {
-			t.Fatalf("n=%d: Place: %v", n, err)
-		}
-
-		leaveBound := Cap(len(tenants), n-1, factor)
-		for _, leave := range members {
-			smaller, err := r.Without(leave)
-			if err != nil {
-				t.Fatalf("n=%d: Without(%s): %v", n, leave, err)
+		for m, c := range load {
+			if float64(c)*float64(n) > 1.25*float64(len(tenants)) {
+				t.Errorf("n=%d: node %s owns %d of %d tenants, over 1.25 times its even share", n, m, c, len(tenants))
 			}
-			after, err := smaller.Place(tenants, factor)
-			if err != nil {
-				t.Fatalf("n=%d leave=%s: Place: %v", n, leave, err)
-			}
-			moved := 0
-			for tn, m := range place {
-				if after[tn] != m {
-					moved++
-				}
-			}
-			if moved > leaveBound {
-				t.Fatalf("n=%d leave=%s: %d tenants moved, bound ceil(%.2f·%d/%d)=%d",
-					n, leave, moved, factor, len(tenants), n-1, leaveBound)
-			}
-		}
-
-		joined := fmt.Sprintf("http://10.0.1.%d:8080", n+1)
-		bigger, err := r.With(joined)
-		if err != nil {
-			t.Fatalf("n=%d: With: %v", n, err)
-		}
-		after, err := bigger.Place(tenants, factor)
-		if err != nil {
-			t.Fatalf("n=%d join: Place: %v", n, err)
-		}
-		moved := 0
-		for tn, m := range place {
-			if after[tn] != m {
-				moved++
-			}
-		}
-		if joinBound := Cap(len(tenants), n, factor); moved > joinBound {
-			t.Fatalf("n=%d join: %d tenants moved, bound ceil(%.2f·%d/%d)=%d",
-				n, moved, factor, len(tenants), n, joinBound)
-		}
-	}
-}
-
-func TestPlaceRejectsDuplicateTenants(t *testing.T) {
-	r := mustRing(t, testMembers(3))
-	if _, err := r.Place([]string{"a", "b", "a"}, 1.25); err == nil {
-		t.Fatal("Place accepted a duplicate tenant")
-	}
-}
-
-func TestCap(t *testing.T) {
-	cases := []struct {
-		tenants, members int
-		factor           float64
-		want             int
-	}{
-		{100, 4, 1.0, 25},
-		{101, 4, 1.0, 26},
-		{100, 4, 1.25, 32}, // ceil(125/4) = 32
-		{1, 16, 1.0, 1},
-		{0, 4, 1.0, 1},    // floor of 1 keeps Place total ≥ tenants
-		{100, 4, 0.5, 25}, // factors below 1 clamp to 1
-	}
-	for _, c := range cases {
-		if got := Cap(c.tenants, c.members, c.factor); got != c.want {
-			t.Errorf("Cap(%d, %d, %.2f) = %d, want %d", c.tenants, c.members, c.factor, got, c.want)
 		}
 	}
 }

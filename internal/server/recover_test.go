@@ -10,10 +10,13 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 
 	"leasing/internal/engine"
+	"leasing/internal/server"
 	"leasing/internal/stream"
 	"leasing/internal/wal"
 	"leasing/internal/wire"
@@ -183,6 +186,99 @@ func TestRecoveryParityAllDomains(t *testing.T) {
 				verifyRecovered(t, eng, tc, tc.events, "recovered")
 			}
 		})
+	}
+}
+
+// TestRecoveryReplaysWhatTheSessionApplied: an element multiplicity
+// the set-cover leaser rejects — p -1 submitted as JSON and over the
+// binary framing, and an in-process P 0 — fails its session live, and
+// the session rebuilt from the write-ahead log must end at the same
+// processed count with the same error instead of replaying a repaired
+// record.
+func TestRecoveryReplaysWhatTheSessionApplied(t *testing.T) {
+	var spec wire.OpenRequest
+	for _, tc := range remoteCases(t) {
+		if tc.name == "setcover" {
+			spec = tc.spec
+		}
+	}
+	bad := []wire.Event{{Time: 0, Kind: wire.KindElement, Elem: 0, P: -1}}
+	frame, err := wire.AppendEventsBinaryWire(nil, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	wlog, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{Shards: 2}
+	live := cfg
+	live.WAL = wlog
+	eng := engine.New(live)
+	ts := httptest.NewServer(server.New(eng, server.Config{}))
+	for _, tenant := range []string{"json", "binary"} {
+		if status, body := do(t, ts, call{method: "POST", path: "/v1/tenants/" + tenant,
+			contentType: "application/json", body: mustJSON(t, spec)}); status != http.StatusCreated {
+			t.Fatalf("open %s: status %d body %s", tenant, status, body)
+		}
+	}
+	if status, body := do(t, ts, call{method: "POST", path: "/v1/tenants/json/events",
+		contentType: "application/json", body: mustJSON(t, bad)}); status != http.StatusOK {
+		t.Fatalf("JSON submit: status %d body %s", status, body)
+	}
+	if status, apiErr := postBinary(t, ts, "binary", wire.AppendFrame([]byte(wire.BinaryMagic), frame)); apiErr != nil {
+		t.Fatalf("binary submit: status %d %+v", status, apiErr)
+	}
+	lsr, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.OpenSpec("in-process", lsr, specBytes(t, spec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SubmitBatch("in-process", []stream.Event{{Time: 0, Payload: stream.Element{Elem: 0, P: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		events int64
+		err    string
+	}
+	read := func(e *engine.Engine, tenant string) outcome {
+		n, err := e.Events(tenant)
+		if err == nil {
+			return outcome{events: n}
+		}
+		return outcome{events: n, err: err.Error()}
+	}
+	want := map[string]outcome{}
+	for _, tenant := range []string{"json", "binary", "in-process"} {
+		if want[tenant] = read(eng, tenant); want[tenant].err == "" {
+			t.Errorf("%s: a bad multiplicity did not fail the live session: %+v", tenant, want[tenant])
+		}
+	}
+	ts.Close()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if wlog, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer wlog.Close()
+	rec := recoverEngine(t, wlog, cfg)
+	defer rec.Close()
+	for tenant, w := range want {
+		if got := read(rec, tenant); got != w {
+			t.Errorf("%s: live session ended at %+v, recovered one at %+v", tenant, w, got)
+		}
 	}
 }
 

@@ -11,10 +11,13 @@ import (
 // RandomFamily builds a set system over n elements and m sets where every
 // element belongs to exactly delta distinct sets (so δ is exact and any
 // multiplicity p <= delta is feasible for every element). Requires
-// delta <= m.
+// n >= 1 and 1 <= delta <= m; other sizes are an error.
 func RandomFamily(rng *rand.Rand, n, m, delta int) (*Family, error) {
 	if delta < 1 || delta > m {
 		return nil, fmt.Errorf("setcover: delta %d outside [1,%d]", delta, m)
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("setcover: universe size %d < 1", n)
 	}
 	members := make([][]int, m)
 	for e := 0; e < n; e++ {

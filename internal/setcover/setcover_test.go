@@ -380,6 +380,9 @@ func TestRandomFamilyExactDelta(t *testing.T) {
 	if _, err := RandomFamily(rng, 5, 3, 4); err == nil {
 		t.Error("delta > m accepted")
 	}
+	if _, err := RandomFamily(rng, 0, 3, 1); err == nil {
+		t.Error("empty universe accepted")
+	}
 }
 
 func TestCandidatesExcludes(t *testing.T) {

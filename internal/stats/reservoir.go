@@ -9,7 +9,7 @@ import (
 
 // Reservoir is a bounded uniform sample of a latency stream (Vitter's
 // algorithm R): it keeps an unbiased sample of fixed capacity no matter
-// how many observations flow through, so a long load ramp can track
+// how many observations flow through, so a long load run can track
 // percentiles without the measurement path itself growing an unbounded
 // slice and distorting memory and GC. Exact count, min and max are
 // tracked alongside the sample. Add is safe for concurrent use; a

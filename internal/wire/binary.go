@@ -9,11 +9,13 @@ package wire
 // EventBatch's payload arenas) zero allocations per event in steady
 // state.
 //
-// The encoding is canonical: every encoder normalizes exactly the way a
-// JSON round-trip does (an element's zero multiplicity becomes 1, an
-// empty client list becomes null, a nil payload becomes a day), so
-// encode(decode(encode(x))) is byte-identical to encode(x) and the
-// binary and JSON paths produce the same stream.Event values. Floats
+// The encoding is canonical: multiplicities and durations travel
+// verbatim, an empty client list becomes null and a nil payload becomes
+// a day, so encode(decode(encode(x))) is byte-identical to encode(x)
+// and a write-ahead-log record replays exactly the values the live
+// session applied. Encoding from a wire Event applies the JSON path's
+// defaults first (an absent or zero p or dur reads as 1), so the binary
+// and JSON submit paths produce the same stream.Event values. Floats
 // travel as raw IEEE-754 bits, so every float round-trips exactly —
 // including NaN payloads and negative zero. Integers travel as zigzag
 // varints, lengths as plain uvarints.
@@ -34,13 +36,13 @@ package wire
 //	varint time (zigzag)
 //	kind fields:
 //	  day            -
-//	  element        varint elem, varint p (encoder writes max(p, 1))
+//	  element        varint elem, varint p
 //	  window         varint d
 //	  element_window varint elem, varint d
 //	  batch          byte presence (0 = null), then uvarint count and
 //	                 count * (8-byte LE x bits, 8-byte LE y bits)
 //	  connect        varint s, varint u
-//	  use            varint dur (encoder writes max(dur, 1))
+//	  use            varint dur
 //
 // The replication endpoint reuses the same magic and frames, with one
 // write-ahead-log record per frame.
@@ -89,10 +91,10 @@ func binErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrBinary}, args...)...)
 }
 
-// AppendEventBinary appends ev's canonical binary encoding to dst. The
-// same normalizations a JSON round-trip performs are applied here: a
-// nil payload encodes as a day, an element's zero multiplicity encodes
-// as 1, and an empty (but non-nil) client list encodes as null.
+// AppendEventBinary appends ev's canonical binary encoding to dst: a
+// nil payload encodes as a day and an empty (but non-nil) client list
+// as null; every other field, multiplicities and durations included, is
+// written verbatim.
 func AppendEventBinary(dst []byte, ev stream.Event) ([]byte, error) {
 	switch p := ev.Payload.(type) {
 	case nil, stream.Day:
@@ -102,7 +104,7 @@ func AppendEventBinary(dst []byte, ev stream.Event) ([]byte, error) {
 		dst = append(dst, binElement)
 		dst = binary.AppendVarint(dst, ev.Time)
 		dst = binary.AppendVarint(dst, int64(p.Elem))
-		dst = binary.AppendVarint(dst, int64(max(p.P, 1)))
+		dst = binary.AppendVarint(dst, int64(p.P))
 	case stream.Window:
 		dst = append(dst, binWindow)
 		dst = binary.AppendVarint(dst, ev.Time)
@@ -124,7 +126,7 @@ func AppendEventBinary(dst []byte, ev stream.Event) ([]byte, error) {
 	case stream.Use:
 		dst = append(dst, binUse)
 		dst = binary.AppendVarint(dst, ev.Time)
-		dst = binary.AppendVarint(dst, max(p.Dur, 1))
+		dst = binary.AppendVarint(dst, p.Dur)
 	default:
 		return dst, fmt.Errorf("wire: unsupported payload %T", ev.Payload)
 	}
@@ -169,7 +171,7 @@ func AppendEventBinaryWire(dst []byte, ev Event) ([]byte, error) {
 		dst = append(dst, binElement)
 		dst = binary.AppendVarint(dst, ev.Time)
 		dst = binary.AppendVarint(dst, int64(ev.Elem))
-		dst = binary.AppendVarint(dst, int64(max(ev.P, 1)))
+		dst = binary.AppendVarint(dst, int64(orOne(ev.P)))
 	case KindWindow:
 		dst = append(dst, binWindow)
 		dst = binary.AppendVarint(dst, ev.Time)
@@ -200,7 +202,7 @@ func AppendEventBinaryWire(dst []byte, ev Event) ([]byte, error) {
 	case KindUse:
 		dst = append(dst, binUse)
 		dst = binary.AppendVarint(dst, ev.Time)
-		dst = binary.AppendVarint(dst, max(ev.Dur, 1))
+		dst = binary.AppendVarint(dst, orOne(ev.Dur))
 	default:
 		return dst, fmt.Errorf("wire: unknown event kind %q", ev.Kind)
 	}

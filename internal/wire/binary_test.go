@@ -12,9 +12,9 @@ import (
 	"leasing/internal/stream"
 )
 
-// canonicalEvents is one event of every payload kind, already in the
-// canonical form the binary encoder preserves exactly (multiplicities
-// >= 1, client lists nil or non-empty).
+// canonicalEvents is one event of every payload kind, in a form both
+// the binary encoding and a JSON round trip preserve exactly (client
+// lists nil or non-empty, multiplicities and durations nonzero).
 func canonicalEvents() []stream.Event {
 	return []stream.Event{
 		{Time: 0, Payload: stream.Day{}},
@@ -109,17 +109,23 @@ func TestBinaryFloatBits(t *testing.T) {
 	}
 }
 
-// TestBinaryCanonicalization: the encoder applies exactly the
-// normalizations a JSON round trip does — zero multiplicity becomes 1,
-// an empty client list becomes null, a nil payload becomes a day — so
-// the two paths agree even on non-canonical inputs.
+// TestBinaryCanonicalization: the encoder writes multiplicities and
+// durations verbatim, zero and negative ones included, so a logged
+// record replays what the live session applied; only an empty client
+// list becomes null and a nil payload a day. Encoding the same values
+// from wire events applies the JSON defaults first, so a binary submit
+// decodes to exactly what the JSON submit of those wire events does.
 func TestBinaryCanonicalization(t *testing.T) {
 	events := []stream.Event{
 		{Time: 1, Payload: stream.Element{Elem: 3, P: 0}},
-		{Time: 2, Payload: stream.Batch{Clients: []metric.Point{}}},
-		{Time: 3, Payload: nil},
-		{Time: 4, Payload: stream.Use{Dur: 0}},
+		{Time: 2, Payload: stream.Element{Elem: 3, P: -1}},
+		{Time: 3, Payload: stream.Batch{Clients: []metric.Point{}}},
+		{Time: 4, Payload: nil},
+		{Time: 5, Payload: stream.Use{Dur: 0}},
+		{Time: 6, Payload: stream.Use{Dur: -4}},
 	}
+	want := append([]stream.Event(nil), events...)
+	want[2].Payload, want[3].Payload = stream.Batch{}, stream.Day{}
 	payload, err := AppendEventsBinary(nil, events)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +134,51 @@ func TestBinaryCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%#v", back), fmt.Sprintf("%#v", jsonRoundTrip(t, events)); got != want {
-		t.Errorf("normalization diverged from the JSON path:\n got %s\nwant %s", got, want)
+	if got, want := fmt.Sprintf("%#v", back), fmt.Sprintf("%#v", want); got != want {
+		t.Errorf("binary round trip changed values:\n got %s\nwant %s", got, want)
 	}
+
+	wevs := []Event{
+		{Time: 1, Kind: KindElement, Elem: 3},
+		{Time: 2, Kind: KindElement, Elem: 3, P: -1},
+		{Time: 3, Kind: KindBatch, Clients: []Point{}},
+		{Time: 4, Kind: KindDay},
+		{Time: 5, Kind: KindUse},
+		{Time: 6, Kind: KindUse, Dur: -4},
+	}
+	if got, want := fmt.Sprintf("%#v", binaryWireDecode(t, wevs)), fmt.Sprintf("%#v", jsonWireDecode(t, wevs)); got != want {
+		t.Errorf("binary and JSON submits of the same wire events diverged:\n binary %s\n json   %s", got, want)
+	}
+}
+
+// binaryWireDecode is a binary submit of wevs: the client's encoder,
+// then the server's decoder.
+func binaryWireDecode(t *testing.T, wevs []Event) []stream.Event {
+	t.Helper()
+	payload, err := AppendEventsBinaryWire(nil, wevs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := DecodeEventsBinary(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// jsonWireDecode is a JSON submit of wevs: the array body, then the
+// server's decoder.
+func jsonWireDecode(t *testing.T, wevs []Event) []stream.Event {
+	t.Helper()
+	body, err := json.Marshal(wevs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ReadEvents(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 // TestBinaryWireEncoderIdentity: encoding from wire.Event (the client's
@@ -138,13 +186,17 @@ func TestBinaryCanonicalization(t *testing.T) {
 // reference path).
 func TestBinaryWireEncoderIdentity(t *testing.T) {
 	events := canonicalEvents()
-	// Include the wire-side non-canonical case: P omitted (0) on the wire
-	// defaults to multiplicity 1 in both encoders.
+	// Include the wire-side defaults: P or Dur omitted (0) reads as 1,
+	// and a negative value is kept, in both encoders.
 	wevs, err := FromStreamEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wevs = append(wevs, Event{Time: 10, Kind: KindElement, Elem: 4})
+	wevs = append(wevs,
+		Event{Time: 10, Kind: KindElement, Elem: 4},
+		Event{Time: 11, Kind: KindElement, Elem: 4, P: -1},
+		Event{Time: 12, Kind: KindUse},
+		Event{Time: 13, Kind: KindUse, Dur: -4})
 	sevs, err := StreamEvents(wevs)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +355,10 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			t.Errorf("encode(decode(x)) is not a fixed point:\n first  %x\n second %x", enc1, enc2)
 		}
 		// ...and whose events agree with the JSON wire path exactly. The
-		// binary encoding is strictly wider than JSON on floats (it carries
-		// NaN and infinite coordinates, which encoding/json rejects), so
-		// the cross-check only applies to JSON-representable events.
+		// binary encoding is strictly wider than JSON (it carries NaN and
+		// infinite coordinates, which encoding/json rejects, and zero
+		// multiplicities and durations, which JSON reads as 1), so the
+		// cross-check only applies to JSON-representable events.
 		if jsonRepresentable(evs2) {
 			if got, want := fmt.Sprintf("%#v", jsonRoundTrip(t, evs2)), fmt.Sprintf("%#v", evs2); got != want {
 				t.Errorf("canonical events diverge from their JSON round trip:\n json   %s\n binary %s", got, want)
@@ -314,26 +367,37 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// jsonRepresentable reports whether every float in evs is finite, i.e.
-// whether encoding/json can carry the events at all.
+// jsonRepresentable reports whether the JSON wire path carries evs as
+// they are: every float is finite (encoding/json rejects the others),
+// and no multiplicity or duration is zero (JSON reads a zero p or dur
+// as 1).
 func jsonRepresentable(evs []stream.Event) bool {
 	for _, ev := range evs {
-		if b, ok := ev.Payload.(stream.Batch); ok {
-			for _, c := range b.Clients {
+		switch p := ev.Payload.(type) {
+		case stream.Batch:
+			for _, c := range p.Clients {
 				if math.IsNaN(c.X) || math.IsInf(c.X, 0) || math.IsNaN(c.Y) || math.IsInf(c.Y, 0) {
 					return false
 				}
+			}
+		case stream.Element:
+			if p.P == 0 {
+				return false
+			}
+		case stream.Use:
+			if p.Dur == 0 {
+				return false
 			}
 		}
 	}
 	return true
 }
 
-// FuzzBinaryUseDuration drives the usage-duration decoder across the
+// FuzzBinaryUseDuration drives the usage-duration codec across the
 // full int64 range — zero, negative, MaxInt64, and overlapping returns
-// inside one frame: the encoder must clamp every duration to >= 1, the
-// round trip must be a byte fixed point, and the binary path must agree
-// with the JSON wire path event for event.
+// inside one frame: the encoder must write every duration verbatim, the
+// round trip must be a byte fixed point, and a binary submit of the wire
+// events must decode to what their JSON submit does.
 func FuzzBinaryUseDuration(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(0))
 	f.Add(int64(1), int64(1), int64(math.MaxInt64))
@@ -354,12 +418,8 @@ func FuzzBinaryUseDuration(f *testing.F) {
 			t.Fatalf("decode of encoder output: %v", err)
 		}
 		for i, want := range []int64{durA, durB} {
-			if want < 1 {
-				want = 1
-			}
 			if got := back[i].Payload.(stream.Use); got.Dur != want {
-				t.Errorf("event %d: duration %d decoded as %d, want clamp to %d",
-					i, events[i].Payload.(stream.Use).Dur, got.Dur, want)
+				t.Errorf("event %d: duration %d decoded as %d", i, want, got.Dur)
 			}
 		}
 		reenc, err := AppendEventsBinary(nil, back)
@@ -369,8 +429,9 @@ func FuzzBinaryUseDuration(f *testing.F) {
 		if !bytes.Equal(reenc, payload) {
 			t.Errorf("re-encode not byte-identical:\n first  %x\n second %x", payload, reenc)
 		}
-		if got, want := fmt.Sprintf("%#v", jsonRoundTrip(t, back)), fmt.Sprintf("%#v", back); got != want {
-			t.Errorf("binary and JSON paths diverged:\n json   %s\n binary %s", got, want)
+		wevs := []Event{{Time: tm, Kind: KindUse, Dur: durA}, {Time: tm, Kind: KindUse, Dur: durB}}
+		if got, want := fmt.Sprintf("%#v", binaryWireDecode(t, wevs)), fmt.Sprintf("%#v", jsonWireDecode(t, wevs)); got != want {
+			t.Errorf("binary and JSON submits diverged:\n binary %s\n json   %s", got, want)
 		}
 	})
 }

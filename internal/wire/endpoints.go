@@ -469,13 +469,15 @@ fields:
 | ` + "`connect`" + ` | 6 | varint s, varint u |
 | ` + "`use`" + ` | 7 | varint dur |
 
-The encoding is canonical — encoders apply exactly the normalizations a
-JSON round trip does (an element's zero multiplicity and a use's zero
-duration encode as 1, an empty client list as null), so re-encoding a
-decoded body is byte-identical and the binary and JSON paths produce the
-same values. The Go client submits in the framing with
-` + "`RemoteClientOptions{Binary: true}`" + `; ` + "`leaseload -nodes 1 -binary`" + `
-load-tests it.
+The encoding is canonical — an empty client list encodes as null and
+every other field travels as sent, so re-encoding a decoded body is
+byte-identical and a write-ahead-log record replays exactly what the
+session applied. The Go client submits in the framing with
+` + "`RemoteClientOptions{Binary: true}`" + ` (` + "`leaseload -nodes 1 -binary`" + `
+load-tests it) and applies the JSON defaults as it encodes (an absent
+or zero ` + "`p`" + ` or ` + "`dur`" + ` reads as 1), so its binary and JSON
+submits produce the same values; a negative multiplicity or duration
+reaches the session unchanged on both.
 
 ## Wire types
 

@@ -123,11 +123,7 @@ func (e Event) Stream() (stream.Event, error) {
 	case KindDay:
 		out.Payload = stream.Day{}
 	case KindElement:
-		p := e.P
-		if p == 0 {
-			p = 1
-		}
-		out.Payload = stream.Element{Elem: e.Elem, P: p}
+		out.Payload = stream.Element{Elem: e.Elem, P: orOne(e.P)}
 	case KindWindow:
 		out.Payload = stream.Window{D: e.D}
 	case KindElementWindow:
@@ -144,15 +140,20 @@ func (e Event) Stream() (stream.Event, error) {
 	case KindConnect:
 		out.Payload = stream.Connect{S: e.S, T: e.U}
 	case KindUse:
-		dur := e.Dur
-		if dur == 0 {
-			dur = 1
-		}
-		out.Payload = stream.Use{Dur: dur}
+		out.Payload = stream.Use{Dur: orOne(e.Dur)}
 	default:
 		return stream.Event{}, fmt.Errorf("wire: unknown event kind %q", e.Kind)
 	}
 	return out, nil
+}
+
+// orOne is the wire default of an element's p and a use's dur: absent
+// (zero) reads as 1, and every other value is kept as sent.
+func orOne[T int | int64](v T) T {
+	if v == 0 {
+		return 1
+	}
+	return v
 }
 
 // StreamEvents converts a wire event slice back to in-process events.

@@ -7,33 +7,28 @@ import (
 	"testing"
 )
 
-// arrivalUnderTest builds every named process at a common mean rate, the
-// sweep the property tests run over.
-func arrivalUnderTest(t *testing.T, name string) Arrival {
+// arrivalUnderTest is the process the property tests run: Bernoulli at
+// a rate away from the default 0.5, so a helper that ignored P would
+// show.
+func arrivalUnderTest(t *testing.T) *Constant {
 	t.Helper()
-	a, err := NewArrival(name, 0.4, 48)
+	a, err := NewConstant(0.4)
 	if err != nil {
-		t.Fatalf("NewArrival(%q): %v", name, err)
+		t.Fatalf("NewConstant: %v", err)
 	}
 	return a
 }
-
-var arrivalNames = []string{"constant", "diurnal", "bursty"}
 
 // TestArrivalSeededDeterminism: the same seed must yield byte-identical
 // day streams, run after run — the property every committed BENCH_*.json
 // and every parity check leans on.
 func TestArrivalSeededDeterminism(t *testing.T) {
 	const horizon = 4096
-	for _, name := range arrivalNames {
-		for seed := int64(1); seed <= 20; seed++ {
-			a1 := arrivalUnderTest(t, name)
-			a2 := arrivalUnderTest(t, name)
-			d1 := ArrivalDays(rand.New(rand.NewSource(seed)), horizon, a1)
-			d2 := ArrivalDays(rand.New(rand.NewSource(seed)), horizon, a2)
-			if !reflect.DeepEqual(d1, d2) {
-				t.Fatalf("%s seed %d: two generations differ (%d vs %d days)", name, seed, len(d1), len(d2))
-			}
+	for seed := int64(1); seed <= 20; seed++ {
+		d1 := ArrivalDays(rand.New(rand.NewSource(seed)), horizon, arrivalUnderTest(t))
+		d2 := ArrivalDays(rand.New(rand.NewSource(seed)), horizon, arrivalUnderTest(t))
+		if !reflect.DeepEqual(d1, d2) {
+			t.Fatalf("seed %d: two generations differ (%d vs %d days)", seed, len(d1), len(d2))
 		}
 	}
 }
@@ -43,164 +38,47 @@ func TestArrivalSeededDeterminism(t *testing.T) {
 // determinism test; this one catches it).
 func TestArrivalSeedsDiffer(t *testing.T) {
 	const horizon = 4096
-	for _, name := range arrivalNames {
-		d1 := ArrivalDays(rand.New(rand.NewSource(1)), horizon, arrivalUnderTest(t, name))
-		d2 := ArrivalDays(rand.New(rand.NewSource(2)), horizon, arrivalUnderTest(t, name))
-		if reflect.DeepEqual(d1, d2) {
-			t.Errorf("%s: seeds 1 and 2 generated identical streams", name)
-		}
+	d1 := ArrivalDays(rand.New(rand.NewSource(1)), horizon, arrivalUnderTest(t))
+	d2 := ArrivalDays(rand.New(rand.NewSource(2)), horizon, arrivalUnderTest(t))
+	if reflect.DeepEqual(d1, d2) {
+		t.Error("seeds 1 and 2 generated identical streams")
 	}
 }
 
 // TestArrivalRateConservation: over many seeds, the empirical arrival
-// rate must sit within a few standard errors of MeanRate — the processes
-// may reshape traffic in time but must conserve its volume.
+// rate must sit within a few standard errors of P.
 func TestArrivalRateConservation(t *testing.T) {
 	const (
 		horizon = 2048
 		seeds   = 40
 	)
-	for _, name := range arrivalNames {
-		var total float64
-		for seed := int64(0); seed < seeds; seed++ {
-			a := arrivalUnderTest(t, name)
-			days := ArrivalDays(rand.New(rand.NewSource(seed)), horizon, a)
-			total += float64(len(days))
-		}
-		got := total / (seeds * horizon)
-		want := arrivalUnderTest(t, name).MeanRate(horizon)
-		// Bernoulli steps give se ~ sqrt(p(1-p)/n) ~ 0.0017 here; the
-		// bursty chain's correlated runs inflate the variance by the mean
-		// run length, so the tolerance is generous but still damning for
-		// any systematic rate distortion.
-		if tol := 0.03; math.Abs(got-want) > tol {
-			t.Errorf("%s: empirical rate %.4f, want %.4f +/- %v", name, got, want, tol)
-		}
+	a := arrivalUnderTest(t)
+	var total float64
+	for seed := int64(0); seed < seeds; seed++ {
+		total += float64(len(ArrivalDays(rand.New(rand.NewSource(seed)), horizon, a)))
+	}
+	// Bernoulli steps give se ~ sqrt(p(1-p)/n) ~ 0.0017 here.
+	if got, tol := total/(seeds*horizon), 0.01; math.Abs(got-a.P) > tol {
+		t.Errorf("empirical rate %.4f, want %.4f +/- %v", got, a.P, tol)
 	}
 }
 
 // TestArrivalStepsStayOrdered: ArrivalDays must return sorted distinct
-// days for every process (the contract DayEvents and the domain stream
-// builders assume).
+// days (the contract DayEvents and the domain stream builders assume).
 func TestArrivalStepsStayOrdered(t *testing.T) {
-	for _, name := range arrivalNames {
-		days := ArrivalDays(rand.New(rand.NewSource(7)), 2048, arrivalUnderTest(t, name))
-		for i := 1; i < len(days); i++ {
-			if days[i] <= days[i-1] {
-				t.Fatalf("%s: days[%d]=%d <= days[%d]=%d", name, i, days[i], i-1, days[i-1])
-			}
+	days := ArrivalDays(rand.New(rand.NewSource(7)), 2048, arrivalUnderTest(t))
+	for i := 1; i < len(days); i++ {
+		if days[i] <= days[i-1] {
+			t.Fatalf("days[%d]=%d <= days[%d]=%d", i, days[i], i-1, days[i-1])
 		}
 	}
 }
 
-// TestBurstyRuns: the bursty process must actually burst — its mean
-// on-run length must sit near the configured 10 steps, far from the
-// geometric(0.4) runs a Bernoulli process of equal rate produces.
-func TestBurstyRuns(t *testing.T) {
-	const horizon = 200000
-	a := arrivalUnderTest(t, "bursty")
-	days := ArrivalDays(rand.New(rand.NewSource(3)), horizon, a)
-	runs, length := 0, 0
-	var prev int64 = -2
-	for _, d := range days {
-		if d != prev+1 {
-			runs++
+// TestConstantRejectsBadRate: the constructor guards its domain.
+func TestConstantRejectsBadRate(t *testing.T) {
+	for _, p := range []float64{-0.1, 1.5} {
+		if _, err := NewConstant(p); err == nil {
+			t.Errorf("NewConstant(%v) accepted", p)
 		}
-		length++
-		prev = d
-	}
-	if runs == 0 {
-		t.Fatal("no runs at all")
-	}
-	mean := float64(length) / float64(runs)
-	if mean < 5 || mean > 20 {
-		t.Errorf("mean on-run length %.1f, want near 10 (bursty), not near 1.7 (bernoulli)", mean)
-	}
-}
-
-// TestDiurnalOscillates: the diurnal process must be denser at the peak
-// half of the cycle than at the trough half — a constant process of the
-// same mean would split 50/50.
-func TestDiurnalOscillates(t *testing.T) {
-	a, err := NewDiurnal(0.4, 0.36, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := ArrivalDays(rand.New(rand.NewSource(5)), 48*400, a)
-	peak := 0
-	for _, d := range days {
-		if d%48 < 24 { // sin positive on the first half of the period
-			peak++
-		}
-	}
-	frac := float64(peak) / float64(len(days))
-	if frac < 0.6 {
-		t.Errorf("peak-half fraction %.3f, want > 0.6 (process does not oscillate)", frac)
-	}
-}
-
-// TestZipfSizesShape: the rank-size law must hold — sizes sum exactly
-// to the total, are non-increasing in rank, and the head/tail ratio
-// tracks the exponent.
-func TestZipfSizesShape(t *testing.T) {
-	const n, total = 64, 64 * 500
-	sizes, err := ZipfSizes(n, 1.2, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != n {
-		t.Fatalf("got %d sizes, want %d", len(sizes), n)
-	}
-	sum := 0
-	for r, sz := range sizes {
-		if sz < 1 {
-			t.Fatalf("rank %d has size %d < 1", r, sz)
-		}
-		if r > 0 && sz > sizes[r-1] {
-			t.Fatalf("sizes not non-increasing at rank %d: %d > %d", r, sz, sizes[r-1])
-		}
-		sum += sz
-	}
-	if sum != total {
-		t.Fatalf("sizes sum to %d, want exactly %d", sum, total)
-	}
-	// Rank-size law: size(r) ~ r^-s, so size(0)/size(15) ~ 16^1.2 ~ 28.
-	ratio := float64(sizes[0]) / float64(sizes[15])
-	if want := math.Pow(16, 1.2); ratio < want*0.5 || ratio > want*2 {
-		t.Errorf("head/rank-15 ratio %.1f, want within 2x of %.1f", ratio, want)
-	}
-	// The even split degenerate case.
-	flat, err := ZipfSizes(8, 0, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, sz := range flat {
-		if sz != 10 {
-			t.Fatalf("s=0 rank %d has size %d, want an even 10", r, sz)
-		}
-	}
-}
-
-// TestZipfSizesRejectsBadInput: the constructor guards its domain.
-func TestZipfSizesRejectsBadInput(t *testing.T) {
-	for _, c := range []struct{ n, total int }{{0, 10}, {5, 4}} {
-		if _, err := ZipfSizes(c.n, 1, c.total); err == nil {
-			t.Errorf("ZipfSizes(%d, 1, %d) accepted", c.n, c.total)
-		}
-	}
-	if _, err := ZipfSizes(4, -1, 40); err == nil {
-		t.Error("negative exponent accepted")
-	}
-	if _, err := NewArrival("poisson", 0.5, 48); err == nil {
-		t.Error("unknown process name accepted")
-	}
-	if _, err := NewConstant(1.5); err == nil {
-		t.Error("constant p > 1 accepted")
-	}
-	if _, err := NewBursty(1, 0.5); err == nil {
-		t.Error("bursty stay = 1 accepted")
-	}
-	if _, err := NewDiurnal(0.5, 0.2, 0); err == nil {
-		t.Error("diurnal period 0 accepted")
 	}
 }
