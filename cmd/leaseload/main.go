@@ -502,23 +502,31 @@ func buildTenant(i int, domain string, cfg *leasing.LeaseConfig, tseed int64, ev
 	return t, nil
 }
 
+// writeJSON encodes report to w, or to outPath when it is set, in which
+// case w gets one line naming the file once it is closed.
 func writeJSON(report any, outPath string, w io.Writer) error {
+	out := w
+	var f *os.File
 	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
+		var err error
+		if f, err = os.Create(outPath); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		out = f
 	}
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
+	err := enc.Encode(report)
+	if f == nil {
 		return err
 	}
-	if outPath != "" {
-		fmt.Printf("leaseload: wrote %s\n", outPath)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "leaseload: wrote %s\n", outPath)
 	return nil
 }
 

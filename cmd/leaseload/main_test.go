@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path"
@@ -30,14 +29,6 @@ func runJSON(t *testing.T, args ...string) jsonReport {
 		t.Fatalf("decode report: %v", err)
 	}
 	return rep
-}
-
-// sameCost compares engine-wide cost totals. That counter accumulates
-// in batch-processing order, which batching and concurrent producers
-// reorder, so two runs of one workload can differ by an ulp; the
-// per-tenant costs -verify checks against Replay are exact.
-func sameCost(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(a))
 }
 
 // leasedDir holds the leased binary the spawning tests share; TestMain
@@ -132,6 +123,28 @@ func TestTextReport(t *testing.T) {
 	}
 }
 
+// TestOutFileAnnouncedToCaller: with -out the report goes to the file,
+// and the line naming it goes to the caller's writer, not the process's
+// stdout.
+func TestOutFileAnnouncedToCaller(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-tenants", "4", "-events", "30", "-shards", "2", "-json", "-out", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "leaseload: wrote " + path + "\n"; buf.String() != want {
+		t.Errorf("caller's writer got %q, want %q", buf.String(), want)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(b, &rep); err != nil || rep.Tool != "leaseload" {
+		t.Errorf("report file does not hold the report (%v): %s", err, b)
+	}
+}
+
 // TestDeterministicWorkload asserts the synthesized traffic is a pure
 // function of the seed: two runs report identical totals, verify every
 // tenant against Replay, and reach the same cost.
@@ -144,7 +157,7 @@ func TestDeterministicWorkload(t *testing.T) {
 	if a.Verified == nil || !*a.Verified || b.Verified == nil || !*b.Verified {
 		t.Error("runs were not verified against Replay")
 	}
-	if !sameCost(a.Engine.Cost, b.Engine.Cost) {
+	if a.Engine.Cost != b.Engine.Cost {
 		t.Errorf("costs differ: %v vs %v", a.Engine.Cost, b.Engine.Cost)
 	}
 }
@@ -237,7 +250,7 @@ func TestDurableBenchReport(t *testing.T) {
 		}
 		reps[wal] = rep
 	}
-	if off, on := reps["nosync"].Engine.Cost, reps["fsync"].Engine.Cost; !sameCost(off, on) {
+	if off, on := reps["nosync"].Engine.Cost, reps["fsync"].Engine.Cost; off != on {
 		t.Errorf("fsync changed the workload outcome: %v vs %v", off, on)
 	}
 }
@@ -332,7 +345,7 @@ func TestRemoteMatchesEngineMode(t *testing.T) {
 	if local.TotalEvents != remote.TotalEvents {
 		t.Errorf("event totals differ: engine %d vs remote %d", local.TotalEvents, remote.TotalEvents)
 	}
-	if !sameCost(local.Engine.Cost, remote.Engine.Cost) {
+	if local.Engine.Cost != remote.Engine.Cost {
 		t.Errorf("costs differ: engine %v vs remote %v", local.Engine.Cost, remote.Engine.Cost)
 	}
 }

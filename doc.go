@@ -31,7 +31,9 @@
 //     O(log(δK) log n)-competitive randomized algorithm.
 //   - Facility leasing (Chapter 4): clients arrive in batches and connect
 //     to leased facilities in a metric. NewFacilityLeaser implements the
-//     (3+K)·H_lmax-competitive two-phase primal-dual algorithm.
+//     (3+K)·H_lmax-competitive two-phase primal-dual algorithm, with bids
+//     over the current l_max round only (the rounds Theorem 4.5's
+//     analysis decomposes along), so a step's cost stays flat in history.
 //   - Leasing with deadlines (Chapter 5): demands may wait until their
 //     deadline. NewDeadlineLeaser is Θ(K + d_max/l_min)-competitive;
 //     NewSCLDLeaser handles set cover leasing with deadlines.

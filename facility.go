@@ -30,7 +30,10 @@ func NewFacilityInstance(cfg *LeaseConfig, sites []Point, facCosts [][]float64, 
 }
 
 // NewFacilityLeaser returns the (3+K)·H_lmax-competitive dual-fitting
-// algorithm (thesis Section 4.3, Theorem 4.5).
+// algorithm (thesis Section 4.3, Theorem 4.5). Clients bid over the
+// current l_max round only: the bids reset at each multiple of l_max,
+// which aligned leases never cross, so the guarantee holds round by
+// round and a step's cost does not grow with history.
 func NewFacilityLeaser(inst *FacilityInstance) (*FacilityLeaser, error) {
 	return facility.NewOnline(inst, facility.Options{})
 }

@@ -33,6 +33,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"leasing/internal/stream"
@@ -538,18 +539,26 @@ func (e *Engine) Result(tenant string) (*stream.Run, error) {
 }
 
 // Metrics samples per-shard counters and aggregates them. Queue depths
-// are instantaneous; the event, drop and cost counters are cumulative.
+// are instantaneous; the event and drop counters are cumulative. Costs
+// sum the sessions' published cost totals in tenant-name order — per
+// shard, and engine-wide across every shard — so for the same
+// per-tenant streams they come out bit-identical whatever the
+// inter-tenant interleaving or shard count. Like Cost, they are current
+// as of each session's last processed batch.
 func (e *Engine) Metrics() Metrics {
 	m := Metrics{Shards: make([]ShardMetrics, len(e.shards))}
+	var all []*session
 	for i, sh := range e.shards {
-		sm := sh.metrics()
+		sm, ss := sh.metrics()
 		m.Shards[i] = sm
 		m.Sessions += sm.Sessions
 		m.Events += sm.Events
 		m.Batches += sm.Batches
 		m.Dropped += sm.Dropped
 		m.QueueDepth += sm.QueueDepth
-		m.Cost += sm.Cost
+		all = append(all, ss...)
 	}
+	slices.SortFunc(all, byTenant)
+	m.Cost = costTotal(all)
 	return m
 }

@@ -234,3 +234,62 @@ func TestEngineMetrics(t *testing.T) {
 		t.Errorf("shard samples = %d, want 4", len(m.Shards))
 	}
 }
+
+// TestEngineMetricsCostIgnoresInterleaving: the same per-tenant streams
+// submitted in two inter-tenant orders must report bit-identical
+// Metrics costs. The costs are chosen so that adding every decision in
+// apply order gives different floats: next to 1e16 a cost of 1 is
+// absorbed, so the small tenant's days count only when they come first.
+func TestEngineMetricsCostIgnoresInterleaving(t *testing.T) {
+	perDay := func(cost float64) stream.Leaser {
+		cfg, err := leasing.NewLeaseConfig(leasing.LeaseType{Length: 1, Cost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := leasing.NewDeterministicParkingPermit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leasing.NewParkingStream(alg)
+	}
+	tenants := map[string]float64{"big": 1e16, "small": 1}
+	days := map[string][]int64{"big": {0}, "small": {0, 1, 2, 3}}
+	run := func(order []string) (cost, applyOrderSum float64) {
+		eng := engine.New(engine.Config{Shards: 1, BatchSize: 1})
+		defer eng.Close()
+		for _, tenant := range order {
+			if err := eng.Open(tenant, perDay(tenants[tenant])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tenant := range order {
+			for _, ev := range leasing.DayEvents(days[tenant]) {
+				if err := eng.SubmitBatch(tenant, []stream.Event{ev}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, err := stream.Replay(perDay(tenants[tenant]), leasing.DayEvents(days[tenant]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range ref.Decisions {
+				applyOrderSum += d.Cost
+			}
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Metrics().Cost, applyOrderSum
+	}
+	smallFirst, naiveSmallFirst := run([]string{"small", "big"})
+	bigFirst, naiveBigFirst := run([]string{"big", "small"})
+	if naiveSmallFirst == naiveBigFirst {
+		t.Fatalf("apply-order sums agree (%v); the costs do not expose the summation order", naiveSmallFirst)
+	}
+	if math.Float64bits(smallFirst) != math.Float64bits(bigFirst) {
+		t.Errorf("metrics cost depends on submission order: %v small first, %v big first", smallFirst, bigFirst)
+	}
+	if want := 1e16 + 4; smallFirst != want {
+		t.Errorf("metrics cost = %v, want %v (per-tenant totals added in name order)", smallFirst, want)
+	}
+}

@@ -17,8 +17,8 @@ type ShardMetrics struct {
 	Dropped int64 `json:"dropped"`
 	// QueueDepth is the number of queued operations at sample time.
 	QueueDepth int `json:"queue_depth"`
-	// Cost is the cumulative cost of every decision the shard's
-	// sessions have made.
+	// Cost is the sum of the shard's sessions' cumulative costs, added
+	// in tenant-name order.
 	Cost float64 `json:"cost"`
 }
 

@@ -2,7 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -97,10 +98,9 @@ type shard struct {
 	reg      atomic.Pointer[map[string]*session] // published on Open
 
 	// Counters: written only by the shard goroutine, read via atomics.
-	events   atomic.Int64
-	batches  atomic.Int64
-	dropped  atomic.Int64
-	costBits atomic.Uint64 // math.Float64bits of cumulative cost
+	events  atomic.Int64
+	batches atomic.Int64
+	dropped atomic.Int64
 }
 
 func newShard(id int, cfg Config) *shard {
@@ -244,8 +244,7 @@ func (sh *shard) apply(o op, touched map[*session]struct{}) {
 		return
 	}
 	for i, ev := range o.events {
-		d, err := s.rec.Observe(s.leaser, ev)
-		if err != nil {
+		if _, err := s.rec.Observe(s.leaser, ev); err != nil {
 			s.failed = true
 			s.err = fmt.Errorf("engine: tenant %q: %w", o.tenant, err)
 			touched[s] = struct{}{}
@@ -253,7 +252,6 @@ func (sh *shard) apply(o op, touched map[*session]struct{}) {
 			return
 		}
 		sh.events.Add(1)
-		sh.addCost(d.Cost)
 	}
 	touched[s] = struct{}{}
 }
@@ -266,20 +264,41 @@ func (sh *shard) publish(touched map[*session]struct{}) {
 	}
 }
 
-// addCost accumulates into the float counter; single-writer, so a plain
-// load-add-store on the bits is race-free.
-func (sh *shard) addCost(c float64) {
-	sh.costBits.Store(math.Float64bits(math.Float64frombits(sh.costBits.Load()) + c))
-}
-
-func (sh *shard) metrics() ShardMetrics {
+// metrics samples the shard's counters. Its sessions, in tenant-name
+// order, are returned too, for the engine-wide cost.
+func (sh *shard) metrics() (ShardMetrics, []*session) {
+	ss := sessionsByName(*sh.reg.Load())
 	return ShardMetrics{
 		Shard:      sh.id,
-		Sessions:   len(*sh.reg.Load()),
+		Sessions:   len(ss),
 		Events:     sh.events.Load(),
 		Batches:    sh.batches.Load(),
 		Dropped:    sh.dropped.Load(),
 		QueueDepth: len(sh.queue),
-		Cost:       math.Float64frombits(sh.costBits.Load()),
+		Cost:       costTotal(ss),
+	}, ss
+}
+
+// sessionsByName lists a registry's sessions in tenant-name order.
+func sessionsByName(reg map[string]*session) []*session {
+	ss := make([]*session, 0, len(reg))
+	for _, s := range reg {
+		ss = append(ss, s)
 	}
+	slices.SortFunc(ss, byTenant)
+	return ss
+}
+
+func byTenant(a, b *session) int { return strings.Compare(a.tenant, b.tenant) }
+
+// costTotal sums the sessions' published cost totals in the given
+// order. A fixed order makes the float sum reproducible: adding each
+// decision's cost as it applied would follow the inter-tenant
+// interleaving, which differs from run to run.
+func costTotal(ss []*session) float64 {
+	var sum float64
+	for _, s := range ss {
+		sum += s.state.Load().cost.Total()
+	}
+	return sum
 }

@@ -1,6 +1,7 @@
 package facility
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -306,7 +307,7 @@ func TestResetEachRoundStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg, err := NewOnline(inst, Options{ResetEachRound: true})
+	alg, err := NewOnline(inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,77 @@ func TestResetEachRoundStaysFeasible(t *testing.T) {
 	if alg.TotalCost() > float64(3+cfg.K())*alg.DualTotal()+1e-6 {
 		t.Errorf("cost %v exceeds (3+K)*dual %v under round reset", alg.TotalCost(), float64(3+cfg.K())*alg.DualTotal())
 	}
-	checkLeaserMatchesSolution(t, inst, Options{ResetEachRound: true})
+	checkLeaserMatchesSolution(t, inst, Options{})
+}
+
+// TestBiddingSetIsCurrentRound pins the round reset by a count: after
+// every step, phase 1's bidding set holds exactly the clients that
+// arrived since the last multiple of l_max. The steps skip times, one
+// of them across a round boundary, and include an empty step opening a
+// round, so a reset keyed on landing exactly on a multiple would fail
+// too. The literal full-history rule must fail the same check.
+func TestBiddingSetIsCurrentRound(t *testing.T) {
+	cfg := facConfig() // l_max = 4
+	p := func(x float64) metric.Point { return metric.Point{X: x} }
+	steps := []struct {
+		t     int64
+		batch []metric.Point
+	}{
+		{0, []metric.Point{p(1), p(2)}},
+		{1, []metric.Point{p(3)}},
+		{3, nil},
+		{6, []metric.Point{p(4), p(5), p(6)}}, // skips the boundary at 4
+		{7, []metric.Point{p(7)}},
+		{8, nil}, // an empty step opens round 2
+		{9, []metric.Point{p(8)}},
+		{13, []metric.Point{p(9), p(1)}}, // skips 12
+		{14, nil},
+		{15, []metric.Point{p(2)}},
+	}
+	inst, err := NewInstance(cfg, []metric.Point{{X: 0}, {X: 5}, {X: 9}}, [][]float64{{2, 5}, {3, 6}, {2, 4}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(opts Options) error {
+		alg, err := NewOnline(inst, opts)
+		if err != nil {
+			return err
+		}
+		var arrived []int64
+		for _, st := range steps {
+			if err := alg.Step(st.t, st.batch); err != nil {
+				return err
+			}
+			for range st.batch {
+				arrived = append(arrived, st.t)
+			}
+			roundStart := st.t - st.t%cfg.LMax()
+			want := 0
+			for _, a := range arrived {
+				if a >= roundStart {
+					want++
+				}
+			}
+			if len(alg.clients) != want {
+				return fmt.Errorf("after step %d: %d bidding clients, want %d (arrived since %d)", st.t, len(alg.clients), want, roundStart)
+			}
+			for _, cs := range alg.clients {
+				if cs.arrived < roundStart {
+					return fmt.Errorf("after step %d: client from step %d still bids", st.t, cs.arrived)
+				}
+			}
+			if got := len(alg.retired) + len(alg.clients); got != len(arrived) {
+				return fmt.Errorf("after step %d: %d assignments kept for %d clients", st.t, got, len(arrived))
+			}
+		}
+		return nil
+	}
+	if err := check(Options{}); err != nil {
+		t.Error(err)
+	}
+	if err := check(Options{FullHistory: true}); err == nil {
+		t.Error("the full-history rule passed the current-round check; the check does not tell the rules apart")
+	}
 }
 
 func TestStepOrderEnforced(t *testing.T) {

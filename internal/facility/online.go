@@ -26,17 +26,22 @@ const (
 	ByIndex
 )
 
-// Options tunes the online algorithm.
+// Options tunes the online algorithm. The zero value is the served rule:
+// opening-time MIS order, with bids over the current round only.
 type Options struct {
 	// MISOrder defaults to ByOpeningTime.
 	MISOrder MISOrder
-	// ResetEachRound drops the bidding history at multiples of l_max — the
-	// round boundaries along which Theorem 4.5's analysis decomposes (all
-	// facilities are closed there, so rounds are independent
-	// sub-problems). The default (false) keeps the literal D_{<=t} of the
-	// paper's pseudocode; the reset variant is the E15 ablation's second
-	// arm. Connections already made are unaffected.
-	ResetEachRound bool
+	// FullHistory keeps the literal D_{<=t} of the paper's pseudocode:
+	// every step re-runs phase 1 over every client seen so far, so a
+	// step's cost grows with history. The default (false) bids over the
+	// current round only, dropping the bids at each multiple of l_max —
+	// the round boundaries along which Theorem 4.5's analysis
+	// decomposes. Aligned leases never cross them, so every facility is
+	// closed there and the rounds are independent sub-problems; the
+	// (3+K)·H_lmax guarantee holds round by round. FullHistory is the
+	// E15 ablation's comparison arm. Connections already made are
+	// unaffected either way.
+	FullHistory bool
 }
 
 // Online is the two-phase primal-dual algorithm of Section 4.3. Each time
@@ -46,15 +51,17 @@ type Options struct {
 // sum to its lease cost (invariant INV1) — and phase 2 keeps a maximal
 // independent set of each type's conflict graph, permanently leasing the
 // survivors and reconnecting new clients through conflict witnesses
-// (Proposition 4.2 bounds the detour by a factor 3).
+// (Proposition 4.2 bounds the detour by a factor 3). By default the
+// bidding clients are those of the current l_max round, so a step costs
+// the same however long the history (see Options.FullHistory).
 type Online struct {
-	inst       *Instance
-	store      *core.ItemStore
-	misOrder   MISOrder
-	resetRound bool
+	inst        *Instance
+	store       *core.ItemStore
+	misOrder    MISOrder
+	fullHistory bool
 
-	clients  []clientState // clients still bidding (current round if resetting)
-	archived []clientState // clients dropped from bidding by round resets
+	clients  []clientState // clients still bidding: the current round's, or all under FullHistory
+	retired  []Assignment  // assignments of clients dropped from bidding by round resets
 	connCost float64
 	dualSum  float64
 	step     int64
@@ -81,7 +88,7 @@ func NewOnline(inst *Instance, opts Options) (*Online, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Online{inst: inst, store: store, misOrder: order, resetRound: opts.ResetEachRound}, nil
+	return &Online{inst: inst, store: store, misOrder: order, fullHistory: opts.FullHistory}, nil
 }
 
 // Run processes every batch of the instance in order.
@@ -101,9 +108,13 @@ func (o *Online) Step(t int64, batch []metric.Point) error {
 		return fmt.Errorf("facility: step %d after %d", t, o.step)
 	}
 	o.step = t + 1
-	if o.resetRound && t%o.inst.Cfg.LMax() == 0 && len(o.clients) > 0 {
-		o.archived = append(o.archived, o.clients...)
-		o.clients = nil
+	// A new round starts at each multiple of l_max; steps may skip it,
+	// so compare against the oldest bidder's round rather than t itself.
+	if roundStart := t - t%o.inst.Cfg.LMax(); !o.fullHistory && len(o.clients) > 0 && o.clients[0].arrived < roundStart {
+		for _, cs := range o.clients {
+			o.retired = append(o.retired, cs.assign)
+		}
+		o.clients = o.clients[:0]
 	}
 	newStart := len(o.clients)
 	for _, p := range batch {
@@ -469,21 +480,24 @@ func (o *Online) ConnectionCost() float64 { return o.connCost }
 func (o *Online) DualTotal() float64 { return o.dualSum }
 
 // Solution returns the bought facility leases and per-client assignments
-// (in arrival order, including clients archived by round resets) for
+// (in arrival order, including clients retired by round resets) for
 // verification.
 func (o *Online) Solution() ([]FacilityLease, []Assignment) {
 	var leases []FacilityLease
 	for _, il := range o.store.Leases() {
 		leases = append(leases, FacilityLease{Facility: il.Item, K: il.K, Start: il.Start})
 	}
-	assigns := make([]Assignment, 0, len(o.archived)+len(o.clients))
-	for _, cs := range o.archived {
-		assigns = append(assigns, cs.assign)
-	}
+	return leases, o.assignments()
+}
+
+// assignments returns every client's assignment in arrival order.
+func (o *Online) assignments() []Assignment {
+	assigns := make([]Assignment, 0, len(o.retired)+len(o.clients))
+	assigns = append(assigns, o.retired...)
 	for _, cs := range o.clients {
 		assigns = append(assigns, cs.assign)
 	}
-	return leases, assigns
+	return assigns
 }
 
 func mat(r, c int) [][]float64 {

@@ -11,9 +11,8 @@ import (
 // stream protocol. Items are site indices; each Batch payload is one
 // Step, and new client connections surface as Decision assignments.
 type Leaser struct {
-	alg     *Online
-	log     *stream.Journal[core.ItemLease]
-	assigns []stream.Assignment // every client's, in arrival order
+	alg *Online
+	log *stream.Journal[core.ItemLease]
 }
 
 var _ stream.Leaser = (*Leaser)(nil)
@@ -37,9 +36,8 @@ func (l *Leaser) Observe(ev stream.Event) (stream.Decision, error) {
 	// A step appends its clients to the live round and assigns only
 	// them, once, so its assignments are the round's tail.
 	for _, cs := range l.alg.clients[len(l.alg.clients)-len(p.Clients):] {
-		d.Assignments = append(d.Assignments, stream.Assignment{Item: cs.assign.Facility, K: cs.assign.K, Cost: cs.assign.Dist})
+		d.Assignments = append(d.Assignments, streamAssignment(cs.assign))
 	}
-	l.assigns = append(l.assigns, d.Assignments...)
 	return d, nil
 }
 
@@ -48,7 +46,17 @@ func (l *Leaser) Cost() stream.CostBreakdown {
 	return stream.CostBreakdown{Lease: l.alg.LeaseCost(), Service: l.alg.ConnectionCost()}
 }
 
-// Snapshot implements stream.Leaser.
+// Snapshot implements stream.Leaser. Assignments are every client's, in
+// arrival order.
 func (l *Leaser) Snapshot() stream.Solution {
-	return stream.Solution{Leases: l.log.Leases(), Assignments: append([]stream.Assignment{}, l.assigns...)}
+	assigns := l.alg.assignments()
+	out := make([]stream.Assignment, len(assigns))
+	for i, a := range assigns {
+		out[i] = streamAssignment(a)
+	}
+	return stream.Solution{Leases: l.log.Leases(), Assignments: out}
+}
+
+func streamAssignment(a Assignment) stream.Assignment {
+	return stream.Assignment{Item: a.Facility, K: a.K, Cost: a.Dist}
 }

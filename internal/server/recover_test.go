@@ -8,14 +8,20 @@ package server_test
 // with torn or corrupted tail records truncated rather than replayed.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"leasing/internal/engine"
+	"leasing/internal/facility"
+	"leasing/internal/lease"
+	"leasing/internal/metric"
 	"leasing/internal/server"
 	"leasing/internal/stream"
 	"leasing/internal/wal"
@@ -187,6 +193,108 @@ func TestRecoveryParityAllDomains(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoveryFacilityRoundsRefusesVersion2: a facility tenant whose
+// history spans several l_max rounds recovers byte-identical to a
+// Replay of its logged spec, which builds the round-reset rule. The
+// full-history rule that version-2 builds applied ends elsewhere on the
+// same events, so the same log with its headers rewritten to version 2
+// must be refused at open, naming the version, instead of recovering
+// into a state its writer never applied.
+func TestRecoveryFacilityRoundsRefusesVersion2(t *testing.T) {
+	var tc remoteCase
+	for _, c := range remoteCases(t) {
+		if c.name == "facility" {
+			tc = c
+		}
+	}
+	lmax := tc.spec.Types[len(tc.spec.Types)-1].Length
+	if last := tc.events[len(tc.events)-1].Time; last < 2*lmax {
+		t.Fatalf("facility history ends at step %d, inside two rounds of l_max %d", last, lmax)
+	}
+	dir := t.TempDir()
+	runDurable(t, dir, []remoteCase{tc}, engine.Config{Shards: 2, BatchSize: 8, RecordRuns: true}, wal.Options{})
+
+	wlog, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := recoverEngine(t, wlog, engine.Config{Shards: 3, BatchSize: 5, RecordRuns: true})
+	verifyRecovered(t, eng, tc, tc.events, "round reset")
+	got, err := eng.Cost(tc.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if full := fullHistoryReplay(t, tc); full == got {
+		t.Fatalf("full-history and round-reset rules agree on this history (%+v); it cannot show why version 2 is refused", got)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v", dir, err)
+	}
+	for _, path := range segs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(b[8:12], 2)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if old, err := wal.Open(dir, wal.Options{}); err == nil {
+		old.Close()
+		t.Fatal("a version-2 log opened")
+	} else if !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 refusal does not name the version: %v", err)
+	}
+}
+
+// fullHistoryReplay replays a facility case under the literal
+// full-history rule and returns its final cost.
+func fullHistoryReplay(t *testing.T, tc remoteCase) stream.CostBreakdown {
+	t.Helper()
+	sp := tc.spec.Facility
+	types := make([]lease.Type, len(tc.spec.Types))
+	for i, lt := range tc.spec.Types {
+		types[i] = lease.Type{Length: lt.Length, Cost: lt.Cost}
+	}
+	cfg, err := lease.NewConfig(types...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func(p wire.Point) metric.Point { return metric.Point{X: p.X, Y: p.Y} }
+	sites := make([]metric.Point, len(sp.Sites))
+	for i, p := range sp.Sites {
+		sites[i] = point(p)
+	}
+	batches := make([][]metric.Point, len(sp.Batches))
+	for i, b := range sp.Batches {
+		for _, p := range b {
+			batches[i] = append(batches[i], point(p))
+		}
+	}
+	inst, err := facility.NewInstance(cfg, sites, sp.Costs, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := facility.NewOnline(inst, facility.Options{FullHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := stream.Replay(facility.NewLeaser(alg), tc.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run.Final
 }
 
 // TestRecoveryReplaysWhatTheSessionApplied: an element multiplicity

@@ -103,8 +103,19 @@ Every segment starts with a %d-byte header:
 A reader rejects a bad magic or any other version outright — a future
 format bump is a clean error, never a misparse. The version-1 format
 (JSON event records) predates the binary events record (kind %d) and is
-refused the same way: no build since version %d writes, compacts or
-ships it. The snapshot flag marks
+refused the same way: no build since version 2 writes, compacts or
+ships it. Version %d keeps version 2's framing byte for byte; it marks
+logs written since facility sessions bid over the current l_max round
+only (the zero value of the facility options), where version-2 builds
+bid over every client the session had seen. Recovery rebuilds a
+session from its logged open spec, and the same facility spec now
+builds the round-reset rule, so replaying a version-2 log would
+disagree with what the old build applied live. The open spec cannot
+carry the difference — a spec without the field must mean round reset
+for new opens, so it cannot also mean the old rule in an old log — so
+version 2 is refused too: drain a version-2 data directory, or recover
+it with the build that wrote it, before starting this one on it. The
+snapshot flag marks
 a segment written by compaction: it supersedes every lower-numbered
 segment, so recovery starts at the newest snapshot and deletes anything
 older.

@@ -59,9 +59,13 @@ const (
 	SegMagic = "LEASEWAL"
 	// SegVersion is the segment format version this build writes and
 	// the only one it reads. Version 2 added the binary events record
-	// (KindEventsBinary); version-1 (JSON-era) segments are refused like
-	// any other version.
-	SegVersion = 2
+	// (KindEventsBinary). Version 3 keeps version 2's framing and marks
+	// logs whose facility sessions bid over the current l_max round
+	// only: recovery rebuilds each session from its logged open spec,
+	// and a version-2 build applied the same facility spec under the
+	// full-history rule, so replaying its log here would disagree with
+	// what it applied live. Versions 1 and 2 are refused like any other.
+	SegVersion = 3
 	// SegHeaderSize is the byte size of the segment header.
 	SegHeaderSize = 16
 	// FlagSnapshot marks a compaction snapshot segment: it supersedes
@@ -388,7 +392,7 @@ func parseSegHeader(hdr []byte) (uint32, error) {
 		return 0, fmt.Errorf("bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != SegVersion {
-		return 0, fmt.Errorf("unsupported segment version %d (this build reads version %d)", v, SegVersion)
+		return 0, fmt.Errorf("unsupported segment version %d (this build reads version %d; drain or recover the log with the build that wrote it)", v, SegVersion)
 	}
 	return binary.LittleEndian.Uint32(hdr[12:16]), nil
 }

@@ -509,6 +509,20 @@ func TestCrossVersionHeaders(t *testing.T) {
 			t.Fatalf("version-1 open: %v", err)
 		}
 	})
+	t.Run("version 2 refuses", func(t *testing.T) {
+		// Same framing as version 3, but its facility tenants were
+		// applied under the full-history rule, which their logged open
+		// specs no longer rebuild.
+		dir := t.TempDir()
+		hdr := segHeader(0)
+		binary.LittleEndian.PutUint32(hdr[8:12], 2)
+		if err := os.WriteFile(segPath(dir, 1), hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("version-2 open: %v", err)
+		}
+	})
 	t.Run("bad magic refuses", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.WriteFile(segPath(dir, 1), bytes.Repeat([]byte("x"), SegHeaderSize), 0o644); err != nil {

@@ -152,7 +152,8 @@ func NewSetCoverStream(inst *SetCoverInstance, rng *rand.Rand) (Leaser, error) {
 }
 
 // NewFacilityStream builds the Chapter 4 primal-dual algorithm for inst as
-// a unified Leaser consuming Batch events.
+// a unified Leaser consuming Batch events, under the same rule as
+// NewFacilityLeaser: clients bid over the current l_max round only.
 func NewFacilityStream(inst *FacilityInstance) (Leaser, error) {
 	alg, err := facility.NewOnline(inst, facility.Options{})
 	if err != nil {

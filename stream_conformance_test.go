@@ -4,7 +4,8 @@ package leasing_test
 // Leaser must (1) report incremental Decision costs that sum to its
 // cumulative Cost(), (2) replay deterministically — two fresh leasers over
 // the same events produce identical decision streams — (3) produce a
-// Snapshot that passes the domain's feasibility oracle, (4) keep the cost
+// Snapshot that holds exactly its decisions' leases and assignments and
+// passes the domain's feasibility oracle, (4) keep the cost
 // curve non-decreasing, and (5) reject payload types it does not
 // understand. The suite runs entirely against the public API.
 
@@ -15,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -171,44 +173,64 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 	}
 
-	batches := [][]leasing.Point{
-		{{X: 1, Y: 0}},
-		{},
-		{{X: 9, Y: 0}, {X: 2, Y: 1}},
-		{{X: 8, Y: 2}},
+	// facilityCase wraps one facility instance; its verifier recomputes
+	// the snapshot's cost and holds it to the leaser's.
+	facilityCase := func(name string, sites []leasing.Point, costs [][]float64, batches [][]leasing.Point, wrong leasing.Event) conformanceCase {
+		inst, err := leasing.NewFacilityInstance(cfg, sites, costs, batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conformanceCase{
+			name:         name,
+			domain:       wire.DomainFacility,
+			events:       leasing.BatchEvents(batches),
+			wrongPayload: wrong,
+			fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
+				lsr, err := leasing.NewFacilityStream(inst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return lsr, func(sol leasing.Solution) error {
+					cost, err := leasing.VerifyFacility(inst,
+						leasing.SolutionFacilityLeases(sol),
+						leasing.SolutionFacilityAssignments(sol))
+					if err != nil {
+						return err
+					}
+					if got := lsr.Cost().Total(); math.Abs(cost-got) > 1e-6 {
+						t.Errorf("facility verified cost %v != reported %v", cost, got)
+					}
+					return nil
+				}
+			},
+		}
 	}
-	facInst, err := leasing.NewFacilityInstance(cfg,
+	facility := facilityCase("facility",
 		[]leasing.Point{{X: 0, Y: 0}, {X: 10, Y: 0}},
 		[][]float64{{1, 2, 5}, {1, 2, 5}},
-		batches,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facility := conformanceCase{
-		name:         "facility",
-		domain:       wire.DomainFacility,
-		events:       leasing.BatchEvents(batches),
-		wrongPayload: leasing.WindowEvent(40, 2),
-		fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
-			lsr, err := leasing.NewFacilityStream(facInst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return lsr, func(sol leasing.Solution) error {
-				cost, err := leasing.VerifyFacility(facInst,
-					leasing.SolutionFacilityLeases(sol),
-					leasing.SolutionFacilityAssignments(sol))
-				if err != nil {
-					return err
-				}
-				if got := lsr.Cost().Total(); math.Abs(cost-got) > 1e-6 {
-					t.Errorf("facility verified cost %v != reported %v", cost, got)
-				}
-				return nil
-			}
+		[][]leasing.Point{
+			{{X: 1, Y: 0}},
+			{},
+			{{X: 9, Y: 0}, {X: 2, Y: 1}},
+			{{X: 8, Y: 2}},
 		},
+		leasing.WindowEvent(40, 2))
+	// Three rounds of l_max = 16, so bidding resets twice: every third
+	// step is empty (the first one included), the rest carry one or two
+	// clients, and both later round boundaries (16 and 32) open with a
+	// non-empty batch.
+	roundBatches := make([][]leasing.Point, 40)
+	for step := range roundBatches {
+		for i := 0; i < step%3; i++ {
+			roundBatches[step] = append(roundBatches[step], leasing.Point{
+				X: float64((step*7 + i*3) % 11), Y: float64((step*5 + i) % 4)})
+		}
 	}
+	facilityRounds := facilityCase("facility-rounds",
+		[]leasing.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 5, Y: 3}},
+		[][]float64{{1, 2, 5}, {1, 2, 5}, {1.5, 2.5, 6}},
+		roundBatches,
+		leasing.DayEvent(40))
 
 	dlClients := []leasing.DeadlineClient{{T: 0, D: 5}, {T: 3, D: 2}, {T: 9, D: 0}, {T: 20, D: 7}}
 	dlInst, err := leasing.NewDeadlineInstance(cfg, dlClients)
@@ -324,7 +346,7 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 	}
 
-	return []conformanceCase{parking, parkingRand, setcover, setcoverAbsorbed, facility, deadline, scld, steiner, reusable, reusablePred}
+	return []conformanceCase{parking, parkingRand, setcover, setcoverAbsorbed, facility, facilityRounds, deadline, scld, steiner, reusable, reusablePred}
 }
 
 // TestLeaserConformance asserts the protocol contract for every domain.
@@ -378,6 +400,15 @@ func TestLeaserConformance(t *testing.T) {
 			sol := lsr.Snapshot()
 			if !reflect.DeepEqual(fromDecisions, sol.Leases) {
 				t.Errorf("decision leases %v != snapshot leases %v", fromDecisions, sol.Leases)
+			}
+
+			// Decisions' assignments, in order, are the snapshot's.
+			var assigned []leasing.Assignment
+			for _, d := range run.Decisions {
+				assigned = append(assigned, d.Assignments...)
+			}
+			if !slices.Equal(assigned, sol.Assignments) {
+				t.Errorf("decision assignments %v != snapshot assignments %v", assigned, sol.Assignments)
 			}
 
 			// The snapshot passes the domain's feasibility oracle.
