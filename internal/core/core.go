@@ -34,9 +34,8 @@ func (il ItemLease) Lease() lease.Lease { return lease.Lease{K: il.K, Start: il.
 type ItemStore struct {
 	cfg     *lease.Config
 	costs   [][]float64
-	bought  map[ItemLease]struct{}
-	journal []ItemLease       // purchases in buy order, append-only
-	byItem  map[int][][]int64 // item -> per type -> sorted starts
+	journal []ItemLease    // purchases in buy order, append-only
+	starts  []lease.Starts // item*K + type
 	total   float64
 }
 
@@ -54,12 +53,7 @@ func NewItemStore(cfg *lease.Config, costs [][]float64) (*ItemStore, error) {
 			}
 		}
 	}
-	return &ItemStore{
-		cfg:    cfg,
-		costs:  costs,
-		bought: make(map[ItemLease]struct{}),
-		byItem: make(map[int][][]int64),
-	}, nil
+	return &ItemStore{cfg: cfg, costs: costs, starts: make([]lease.Starts, len(costs)*cfg.K())}, nil
 }
 
 // Cost returns c_ik for item i and lease type k.
@@ -80,41 +74,29 @@ func (s *ItemStore) Buy(il ItemLease) (bool, error) {
 	if il.K < 0 || il.K >= s.cfg.K() {
 		return false, fmt.Errorf("core: lease type %d out of range [0,%d)", il.K, s.cfg.K())
 	}
-	if _, ok := s.bought[il]; ok {
+	if !s.starts[il.Item*s.cfg.K()+il.K].Insert(il.Start) {
 		return false, nil
 	}
-	s.bought[il] = struct{}{}
 	s.journal = append(s.journal, il)
 	s.total += s.costs[il.Item][il.K]
-	perType, ok := s.byItem[il.Item]
-	if !ok {
-		perType = make([][]int64, s.cfg.K())
-		s.byItem[il.Item] = perType
-	}
-	ss := perType[il.K]
-	i := sort.Search(len(ss), func(i int) bool { return ss[i] >= il.Start })
-	ss = append(ss, 0)
-	copy(ss[i+1:], ss[i:])
-	ss[i] = il.Start
-	perType[il.K] = ss
 	return true, nil
 }
 
 // Has reports whether the exact triple is bought.
 func (s *ItemStore) Has(il ItemLease) bool {
-	_, ok := s.bought[il]
-	return ok
+	if il.Item < 0 || il.Item >= len(s.costs) || il.K < 0 || il.K >= s.cfg.K() {
+		return false
+	}
+	return s.starts[il.Item*s.cfg.K()+il.K].Has(il.Start)
 }
 
 // ItemActive reports whether item i has any lease whose window covers t.
 func (s *ItemStore) ItemActive(item int, t int64) bool {
-	perType, ok := s.byItem[item]
-	if !ok {
+	if item < 0 || item >= len(s.costs) {
 		return false
 	}
-	for k, ss := range perType {
-		i := sort.Search(len(ss), func(i int) bool { return ss[i] > t })
-		if i > 0 && ss[i-1]+s.cfg.Length(k) > t {
+	for k := range s.cfg.K() {
+		if s.starts[item*s.cfg.K()+k].Covers(t, s.cfg.Length(k)) {
 			return true
 		}
 	}
@@ -125,12 +107,11 @@ func (s *ItemStore) ItemActive(item int, t int64) bool {
 // ascending item order.
 func (s *ItemStore) ActiveItems(t int64) []int {
 	var out []int
-	for item := range s.byItem {
+	for item := range s.costs {
 		if s.ItemActive(item, t) {
 			out = append(out, item)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

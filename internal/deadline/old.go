@@ -11,6 +11,7 @@ package deadline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"leasing/internal/lease"
@@ -75,14 +76,17 @@ func (in *Instance) DMax() int64 {
 // by Proposition 5.1) and their types are mirrored at day t+d (Step 2), so
 // later intersecting clients are pre-served.
 type Online struct {
-	cfg      *lease.Config
-	store    *lease.Store
-	contrib  map[lease.Lease]float64
-	dual     float64
-	posDuals []int64 // sorted deadline days of positive-dual clients
-	lastT    int64
-	started  bool
-	skips    int
+	cfg        *lease.Config
+	store      *lease.Store
+	contrib    *lease.Live[float64] // the live candidates' accumulated duals, per type
+	cands      []lease.Lease        // the current client's candidates
+	state      []*float64           // and their contributions
+	dual       float64
+	infeasible bool    // some contribution exceeded its lease's cost
+	posDuals   []int64 // sorted deadline days of positive-dual clients, from the current day on
+	lastT      int64
+	started    bool
+	skips      int
 }
 
 // NewOnline builds the algorithm over an interval-model configuration.
@@ -93,7 +97,7 @@ func NewOnline(cfg *lease.Config) (*Online, error) {
 	return &Online{
 		cfg:     cfg,
 		store:   lease.NewStore(cfg),
-		contrib: make(map[lease.Lease]float64),
+		contrib: lease.NewLive[float64](cfg, 1),
 	}, nil
 }
 
@@ -109,24 +113,38 @@ func (o *Online) Arrive(t, d int64) error {
 
 	// Skip rule: a positive-dual earlier client whose deadline day falls in
 	// our window has days t' and t'+d' covered, so we are already served.
+	// Deadline days before t can never fall in a later window: drop them.
 	lo := sort.Search(len(o.posDuals), func(i int) bool { return o.posDuals[i] >= t })
-	if lo < len(o.posDuals) && o.posDuals[lo] <= t+d {
+	o.posDuals = o.posDuals[lo:]
+	if len(o.posDuals) > 0 && o.posDuals[0] <= t+d {
 		o.skips++
 		return nil
 	}
 
-	cands := o.cfg.IntersectingAll(t, t+d)
-	// Step 1: raise the dual until some candidate is tight.
-	slack := o.cfg.Cost(cands[0].K) - o.contrib[cands[0]]
-	for _, c := range cands[1:] {
-		if s := o.cfg.Cost(c.K) - o.contrib[c]; s < slack {
-			slack = s
+	// The candidates are the aligned leases intersecting [t, t+d]: per
+	// type, the run of starts from the one covering t.
+	o.cands, o.state = o.cands[:0], o.state[:0]
+	for k := 0; k < o.cfg.K(); k++ {
+		from, l := o.cfg.AlignedStart(k, t), o.cfg.Length(k)
+		run := o.contrib.Run(0, k, from, o.cfg.AlignedStart(k, t+d))
+		for i := range run {
+			o.cands = append(o.cands, lease.Lease{K: k, Start: from + int64(i)*l})
+			o.state = append(o.state, &run[i])
 		}
+	}
+	cands, contrib := o.cands, o.state
+	// Step 1: raise the dual until some candidate is tight.
+	slack := math.Inf(1)
+	for i, c := range cands {
+		slack = min(slack, o.cfg.Cost(c.K)-*contrib[i])
 	}
 	if slack > tightEps {
 		o.dual += slack
-		for _, c := range cands {
-			o.contrib[c] += slack
+		for i, c := range cands {
+			*contrib[i] += slack
+			if *contrib[i] > o.cfg.Cost(c.K)+tightEps {
+				o.infeasible = true
+			}
 		}
 		// Record the deadline day for the skip rule.
 		at := sort.Search(len(o.posDuals), func(i int) bool { return o.posDuals[i] >= t+d })
@@ -138,8 +156,8 @@ func (o *Online) Arrive(t, d int64) error {
 	// day t+d.
 	boughtType := make([]bool, o.cfg.K())
 	anyBought := false
-	for _, c := range cands {
-		if o.contrib[c] < o.cfg.Cost(c.K)-tightEps {
+	for i, c := range cands {
+		if *contrib[i] < o.cfg.Cost(c.K)-tightEps {
 			continue
 		}
 		if o.cfg.Covers(c, t) {
@@ -189,15 +207,9 @@ func (o *Online) Leases() []lease.Lease { return o.store.Leases() }
 func (o *Online) BoughtSince(n int) []lease.Lease { return o.store.BoughtSince(n) }
 
 // DualFeasible verifies no lease's accumulated contribution exceeds its
-// cost.
-func (o *Online) DualFeasible() bool {
-	for l, v := range o.contrib {
-		if v > o.cfg.Cost(l.K)+tightEps {
-			return false
-		}
-	}
-	return true
-}
+// cost. A contribution only grows, so each is checked as it is raised
+// and a violation is remembered.
+func (o *Online) DualFeasible() bool { return !o.infeasible }
 
 // ServedWithin reports whether the solution covers at least one day of the
 // client window [t, t+d] — the OLD feasibility predicate.

@@ -87,10 +87,10 @@ type SCLDOnline struct {
 	inst      *SCLDInstance
 	rng       *rand.Rand
 	draws     int
-	frac      map[setcover.SetLease]float64
-	mu        map[setcover.SetLease]float64
-	bought    map[setcover.SetLease]struct{}
-	log       []setcover.SetLease // bought, in buy order: append-only
+	live      *lease.Live[setcover.TripleState] // the live candidates' state, per (set, type)
+	cands     []setcover.SetLease               // the current demand's candidates
+	state     []*setcover.TripleState           // and their state
+	log       []setcover.SetLease               // bought, in buy order: append-only
 	total     float64
 	fracCost  float64
 	fallbacks int
@@ -108,33 +108,36 @@ func NewSCLDOnline(inst *SCLDInstance, rng *rand.Rand) (*SCLDOnline, error) {
 		draws = 1
 	}
 	return &SCLDOnline{
-		inst:   inst,
-		rng:    rng,
-		draws:  draws,
-		frac:   make(map[setcover.SetLease]float64),
-		mu:     make(map[setcover.SetLease]float64),
-		bought: make(map[setcover.SetLease]struct{}),
+		inst:  inst,
+		rng:   rng,
+		draws: draws,
+		live:  lease.NewLive[setcover.TripleState](inst.Cfg, inst.Fam.M()),
 	}, nil
 }
 
-func (o *SCLDOnline) buy(sl setcover.SetLease) {
-	o.bought[sl] = struct{}{}
+func (o *SCLDOnline) buy(sl setcover.SetLease, tr *setcover.TripleState) {
+	tr.Bought = true
 	o.log = append(o.log, sl)
 	o.total += o.inst.Costs[sl.Set][sl.K]
 }
 
-func (o *SCLDOnline) threshold(sl setcover.SetLease) float64 {
-	if mu, ok := o.mu[sl]; ok {
-		return mu
-	}
-	mu := 1.0
-	for i := 0; i < o.draws; i++ {
-		if u := o.rng.Float64(); u < mu {
-			mu = u
+// liveCandidates collects the demand's candidates, in the order
+// SCLDInstance.candidates lists them, with their live state. Each
+// (set, type) slot's run starts at the aligned start covering t, so
+// reading it retires the slot's expired starts.
+func (o *SCLDOnline) liveCandidates(e int, t, d int64) {
+	o.cands, o.state = o.cands[:0], o.state[:0]
+	cfg := o.inst.Cfg
+	for _, s := range o.inst.Fam.Containing(e) {
+		for k := 0; k < cfg.K(); k++ {
+			from, l := cfg.AlignedStart(k, t), cfg.Length(k)
+			run := o.live.Run(s, k, from, cfg.AlignedStart(k, t+d))
+			for i := range run {
+				o.cands = append(o.cands, setcover.SetLease{Set: s, K: k, Start: from + int64(i)*l})
+				o.state = append(o.state, &run[i])
+			}
 		}
 	}
-	o.mu[sl] = mu
-	return mu
 }
 
 // Arrive processes the demand (element e, window [t, t+d]).
@@ -149,35 +152,37 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 	if d < 0 {
 		return fmt.Errorf("deadline: negative slack %d", d)
 	}
-	cands := o.inst.candidates(e, t, d)
+	o.liveCandidates(e, t, d)
+	cands, st := o.cands, o.state
 	if len(cands) == 0 {
 		return fmt.Errorf("deadline: element %d in no set", e)
 	}
 
 	sum := 0.0
-	for _, c := range cands {
-		sum += o.frac[c]
+	for _, tr := range st {
+		sum += tr.Frac
 	}
 	for sum < 1 {
 		sum = 0
-		for _, c := range cands {
+		for i, c := range cands {
 			cost := o.inst.Costs[c.Set][c.K]
-			f := o.frac[c]
+			f := st[i].Frac
 			nf := f*(1+1/cost) + 1/(float64(len(cands))*cost)
-			o.frac[c] = nf
+			st[i].Frac = nf
 			o.fracCost += (nf - f) * cost
 			sum += nf
 		}
 	}
 
 	covered := false
-	for _, c := range cands {
-		if _, ok := o.bought[c]; ok {
+	for i, c := range cands {
+		tr := st[i]
+		if tr.Bought {
 			covered = true
 			continue
 		}
-		if o.frac[c] > o.threshold(c) {
-			o.buy(c)
+		if tr.Frac > tr.Threshold(o.rng, o.draws) {
+			o.buy(c, tr)
 			covered = true
 		}
 	}
@@ -185,14 +190,14 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 		return nil
 	}
 	o.fallbacks++
-	best := cands[0]
-	bestCost := o.inst.Costs[best.Set][best.K]
-	for _, c := range cands[1:] {
+	best := 0
+	bestCost := o.inst.Costs[cands[0].Set][cands[0].K]
+	for i, c := range cands[1:] {
 		if cc := o.inst.Costs[c.Set][c.K]; cc < bestCost {
-			best, bestCost = c, cc
+			best, bestCost = i+1, cc
 		}
 	}
-	o.buy(best)
+	o.buy(cands[best], st[best])
 	return nil
 }
 

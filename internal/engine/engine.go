@@ -103,8 +103,9 @@ type Config struct {
 	BatchSize int
 	// RecordRuns keeps each session's full decision list and cost curve
 	// so Result can return the per-tenant *stream.Run (what the parity
-	// tests compare against Replay). Off by default: long-lived sessions
-	// then run in constant memory.
+	// tests compare against Replay). Off by default: a long-lived
+	// session then grows with its purchases (24 to 48 bytes each) and
+	// assignments (24 bytes each), not with its events.
 	RecordRuns bool
 	// WAL, when non-nil, makes the engine durable: every acknowledged
 	// write is appended through it before its shard applies it. Sessions

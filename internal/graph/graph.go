@@ -7,7 +7,6 @@
 package graph
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -135,9 +134,9 @@ func (g *Graph) ShortestPath(src, dst int, cost func(edge int) float64) (Path, e
 		prevEdge[i] = -1
 	}
 	dist[src] = 0
-	pq := &vertexHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(vertexItem)
+	pq := append(make(vertexHeap, 0, g.n), vertexItem{v: src, d: 0})
+	for len(pq) > 0 {
+		item := pq.pop()
 		if done[item.v] {
 			continue
 		}
@@ -156,7 +155,7 @@ func (g *Graph) ShortestPath(src, dst int, cost func(edge int) float64) (Path, e
 			if nd := item.d + c; nd < dist[h.to] {
 				dist[h.to] = nd
 				prevEdge[h.to] = h.edge
-				heap.Push(pq, vertexItem{v: h.to, d: nd})
+				pq.push(vertexItem{v: h.to, d: nd})
 			}
 		}
 	}
@@ -210,18 +209,44 @@ type vertexItem struct {
 	d float64
 }
 
+// vertexHeap is a binary min-heap on distance. push and pop sift
+// exactly as container/heap's Push and Pop do, so equal distances leave
+// it in the same order, without boxing every item in an interface.
 type vertexHeap []vertexItem
 
-func (h vertexHeap) Len() int            { return len(h) }
-func (h vertexHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h vertexHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vertexHeap) Push(x interface{}) { *h = append(*h, x.(vertexItem)) }
-func (h *vertexHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *vertexHeap) push(it vertexItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent; 0 when j is the root
+		if i == j || !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *vertexHeap) pop() vertexItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].d < s[j].d {
+			j = r
+		}
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // RandomConnected generates a connected graph: a random spanning tree plus

@@ -14,12 +14,12 @@ import (
 // 4c-competitive against the general optimum when the wrapped algorithm
 // is c-competitive — the full statement of the lemma, working online.
 type GeneralAdapter struct {
-	orig    *lease.Config
-	rounded *lease.Config
-	toOrig  map[int]int // rounded type -> cheapest original type mapped to it
-	inner   Algorithm
-	store   *lease.Store
-	seen    map[lease.Lease]bool
+	orig     *lease.Config
+	rounded  *lease.Config
+	toOrig   map[int]int // rounded type -> cheapest original type mapped to it
+	inner    Algorithm
+	store    *lease.Store
+	mirrored int // inner purchases already mirrored
 }
 
 // NewGeneralAdapter wraps build (a constructor of an interval-model
@@ -47,24 +47,20 @@ func NewGeneralAdapter(orig *lease.Config, build func(cfg *lease.Config) (Algori
 		toOrig:  toOrig,
 		inner:   inner,
 		store:   lease.NewStore(orig),
-		seen:    make(map[lease.Lease]bool),
 	}, nil
 }
 
 var _ Algorithm = (*GeneralAdapter)(nil)
 
 // Arrive implements Algorithm: the demand is forwarded to the inner
-// interval-model algorithm and its new purchases are expanded to pairs of
-// original leases.
+// interval-model algorithm and its new purchases, the tail of its log,
+// are expanded to pairs of original leases.
 func (a *GeneralAdapter) Arrive(t int64) error {
 	if err := a.inner.Arrive(t); err != nil {
 		return err
 	}
-	for _, il := range a.inner.Leases() {
-		if a.seen[il] {
-			continue
-		}
-		a.seen[il] = true
+	for _, il := range a.inner.BoughtSince(a.mirrored) {
+		a.mirrored++
 		ok, exists := a.toOrig[il.K]
 		if !exists {
 			return fmt.Errorf("parking: rounded type %d has no original mapping", il.K)

@@ -15,6 +15,7 @@ package parking
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"leasing/internal/lease"
@@ -53,12 +54,14 @@ type Algorithm interface {
 // tight, and every tight candidate is bought. It is K-competitive in the
 // interval model (Theorem 2.7).
 type Deterministic struct {
-	cfg     *lease.Config
-	store   *lease.Store
-	contrib map[lease.Lease]float64
-	dual    float64
-	lastT   int64
-	started bool
+	cfg        *lease.Config
+	store      *lease.Store
+	contrib    *lease.Live[float64] // the live candidates' accumulated duals
+	cands      []*float64           // contrib of the current day's candidates, by type
+	dual       float64
+	infeasible bool // some contribution exceeded its lease's cost
+	lastT      int64
+	started    bool
 }
 
 var _ Algorithm = (*Deterministic)(nil)
@@ -72,7 +75,8 @@ func NewDeterministic(cfg *lease.Config) (*Deterministic, error) {
 	return &Deterministic{
 		cfg:     cfg,
 		store:   lease.NewStore(cfg),
-		contrib: make(map[lease.Lease]float64),
+		contrib: lease.NewLive[float64](cfg, 1),
+		cands:   make([]*float64, cfg.K()),
 	}, nil
 }
 
@@ -83,27 +87,30 @@ func (d *Deterministic) Arrive(t int64) error {
 	}
 	d.started, d.lastT = true, t
 
-	cands := d.cfg.Covering(t)
+	// The candidates are the K aligned leases covering t, one per type.
 	// Slack of the least-slack candidate: the amount the client's dual
 	// variable y_t can rise before a constraint becomes tight.
-	slack := d.cfg.Cost(cands[0].K) - d.contrib[cands[0]]
-	for _, c := range cands[1:] {
-		if s := d.cfg.Cost(c.K) - d.contrib[c]; s < slack {
-			slack = s
-		}
+	slack := math.Inf(1)
+	for k := range d.cands {
+		c := d.contrib.At(0, k, d.cfg.AlignedStart(k, t))
+		d.cands[k] = c
+		slack = min(slack, d.cfg.Cost(k)-*c)
 	}
 	if slack > tightEps {
 		d.dual += slack
-		for _, c := range cands {
-			d.contrib[c] += slack
+		for k, c := range d.cands {
+			*c += slack
+			if *c > d.cfg.Cost(k)+tightEps {
+				d.infeasible = true
+			}
 		}
 	}
 	// Buy every candidate whose constraint is now tight. If slack was ~0 a
 	// tight candidate was already bought by an earlier client, so the day is
 	// covered either way.
-	for _, c := range cands {
-		if d.contrib[c] >= d.cfg.Cost(c.K)-tightEps {
-			d.store.Buy(c)
+	for k, c := range d.cands {
+		if *c >= d.cfg.Cost(k)-tightEps {
+			d.store.Buy(d.cfg.AlignedLease(k, t))
 		}
 	}
 	return nil
@@ -127,16 +134,10 @@ func (d *Deterministic) BoughtSince(n int) []lease.Lease { return d.store.Bought
 func (d *Deterministic) DualTotal() float64 { return d.dual }
 
 // DualFeasible verifies no dual constraint is violated (every lease's
-// accumulated contribution is at most its cost, modulo epsilon). Used by
-// tests.
-func (d *Deterministic) DualFeasible() bool {
-	for l, v := range d.contrib {
-		if v > d.cfg.Cost(l.K)+tightEps {
-			return false
-		}
-	}
-	return true
-}
+// accumulated contribution is at most its cost, modulo epsilon). A
+// contribution only grows, so each is checked as it is raised and a
+// violation is remembered. Used by tests.
+func (d *Deterministic) DualFeasible() bool { return !d.infeasible }
 
 // Randomized is Algorithm 2: a monotone fractional solution maintained by
 // multiplicative updates, rounded online with a single uniform threshold
@@ -144,7 +145,8 @@ func (d *Deterministic) DualFeasible() bool {
 type Randomized struct {
 	cfg      *lease.Config
 	store    *lease.Store
-	frac     map[lease.Lease]float64
+	frac     *lease.Live[float64] // the live candidates' fractions
+	cands    []*float64           // frac of the current day's candidates, by type
 	tau      float64
 	fracCost float64
 	lastT    int64
@@ -165,7 +167,8 @@ func NewRandomized(cfg *lease.Config, rng *rand.Rand) (*Randomized, error) {
 	return &Randomized{
 		cfg:   cfg,
 		store: lease.NewStore(cfg),
-		frac:  make(map[lease.Lease]float64),
+		frac:  lease.NewLive[float64](cfg, 1),
+		cands: make([]*float64, cfg.K()),
 		tau:   1 - rng.Float64(), // uniform in (0, 1]
 	}, nil
 }
@@ -177,22 +180,22 @@ func (r *Randomized) Arrive(t int64) error {
 	}
 	r.started, r.lastT = true, t
 
-	cands := r.cfg.Covering(t) // index == type, shortest first
-	k := len(cands)
+	// The candidates are the K aligned leases covering t, shortest first.
+	k := len(r.cands)
 
 	// Fractional phase: raise candidate fractions until they sum to >= 1.
 	sum := 0.0
-	for _, c := range cands {
-		sum += r.frac[c]
+	for i := range r.cands {
+		r.cands[i] = r.frac.At(0, i, r.cfg.AlignedStart(i, t))
+		sum += *r.cands[i]
 	}
 	for sum < 1 {
 		sum = 0
-		for _, c := range cands {
-			cost := r.cfg.Cost(c.K)
-			f := r.frac[c]
-			nf := f*(1+1/cost) + 1/(float64(k)*cost)
-			r.frac[c] = nf
-			r.fracCost += (nf - f) * cost
+		for i, f := range r.cands {
+			cost := r.cfg.Cost(i)
+			nf := *f*(1+1/cost) + 1/(float64(k)*cost)
+			r.fracCost += (nf - *f) * cost
+			*f = nf
 			sum += nf
 		}
 	}
@@ -202,9 +205,9 @@ func (r *Randomized) Arrive(t int64) error {
 	// longest type down, so suffix[0] = sum >= 1 >= tau guarantees existence.
 	suffix := 0.0
 	for i := k - 1; i >= 0; i-- {
-		next := suffix + r.frac[cands[i]]
+		next := suffix + *r.cands[i]
 		if suffix < r.tau && r.tau <= next {
-			r.store.Buy(cands[i])
+			r.store.Buy(r.cfg.AlignedLease(i, t))
 			return nil
 		}
 		suffix = next
@@ -212,7 +215,7 @@ func (r *Randomized) Arrive(t int64) error {
 	// Floating-point slack can leave tau marginally above the total; the
 	// shortest candidate is the conservative fallback and preserves both
 	// feasibility and the expected-cost analysis (probability O(eps)).
-	r.store.Buy(cands[0])
+	r.store.Buy(r.cfg.AlignedLease(0, t))
 	return nil
 }
 

@@ -105,11 +105,12 @@ type Options struct {
 	Prediction float64
 }
 
-// poolUnit is one capacity unit: its provisioning algorithm and its busy
-// horizon.
+// poolUnit is one capacity unit: its provisioning algorithm, its busy
+// horizon, and where its latest lease of each type ends.
 type poolUnit struct {
 	alg       parking.Algorithm
-	busyUntil int64 // exclusive: the unit is free at t iff t >= busyUntil
+	busyUntil int64   // exclusive: the unit is free at t iff t >= busyUntil
+	ends      []int64 // per type; math.MinInt64 before the first lease
 }
 
 // Online is the greedy first-fit allocator over C units. It is
@@ -148,6 +149,10 @@ func NewOnline(cfg *lease.Config, capacity int, opts Options) (*Online, error) {
 			return nil, err
 		}
 		units[i].alg = alg
+		units[i].ends = make([]int64, cfg.K())
+		for k := range units[i].ends {
+			units[i].ends[k] = math.MinInt64
+		}
 	}
 	return &Online{cfg: cfg, opts: opts, units: units}, nil
 }
@@ -219,6 +224,7 @@ func (o *Online) Grant(t, dur int64) (unit, ktype int, cost float64, err error) 
 	for _, l := range u.alg.BoughtSince(n) {
 		cost += o.cfg.Cost(l.K)
 		o.log = append(o.log, stream.ItemLease{Item: pick, K: l.K, Start: l.Start})
+		u.ends[l.K] = max(u.ends[l.K], l.Start+o.cfg.Length(l.K))
 	}
 	o.total += cost
 	ktype = o.coveringType(u, t)
@@ -231,15 +237,17 @@ func (o *Online) Grant(t, dur int64) (unit, ktype int, cost float64, err error) 
 }
 
 // coveringType returns the longest lease type under which the unit's
-// purchases cover t, or -1 when uncovered.
+// purchases cover t, or -1 when uncovered. Every lease a unit buys
+// covers the grant it was bought for, and grants come in time order, so
+// each lease starts at or before t and covers t exactly when it ends
+// after t; a type's latest lease ends last.
 func (o *Online) coveringType(u *poolUnit, t int64) int {
-	best := -1
-	for _, l := range u.alg.BoughtSince(0) {
-		if l.K > best && o.cfg.Covers(l, t) {
-			best = l.K
+	for k := len(u.ends) - 1; k >= 0; k-- {
+		if u.ends[k] > t {
+			return k
 		}
 	}
-	return best
+	return -1
 }
 
 // BoughtSince returns the leases bought after the first n, in buy order,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"leasing/internal/lease"
 )
 
 // Options tunes the online algorithm.
@@ -23,13 +25,12 @@ type Options struct {
 // per-triple min-of-uniforms thresholds, and falls back to buying the
 // cheapest candidate when rounding leaves a layer uncovered.
 type Online struct {
-	inst   *Instance
-	rng    *rand.Rand
-	draws  int
-	frac   map[SetLease]float64
-	mu     map[SetLease]float64
-	bought map[SetLease]struct{}
-	log    []SetLease // bought, in buy order: append-only
+	inst  *Instance
+	rng   *rand.Rand
+	draws int
+	live  *lease.Live[TripleState] // the live candidates' state, per (set, type)
+	cands []*TripleState           // state of the current layer's candidates
+	log   []SetLease               // bought, in buy order: append-only
 	// usedByElem tracks, per element, the sets counted for earlier arrivals
 	// (PerElement scope only).
 	usedByElem map[int]map[int]bool
@@ -64,37 +65,40 @@ func NewOnline(inst *Instance, rng *rand.Rand, opts Options) (*Online, error) {
 		inst:       inst,
 		rng:        rng,
 		draws:      draws,
-		frac:       make(map[SetLease]float64),
-		mu:         make(map[SetLease]float64),
-		bought:     make(map[SetLease]struct{}),
+		live:       lease.NewLive[TripleState](inst.Cfg, inst.Fam.M()),
 		usedByElem: make(map[int]map[int]bool),
 	}, nil
 }
 
-// threshold lazily samples the rounding threshold of a triple: the minimum
-// of `draws` independent uniforms, fixed for the triple's lifetime.
-func (o *Online) threshold(sl SetLease) float64 {
-	if mu, ok := o.mu[sl]; ok {
-		return mu
-	}
-	mu := 1.0
-	for i := 0; i < o.draws; i++ {
-		if u := o.rng.Float64(); u < mu {
-			mu = u
-		}
-	}
-	o.mu[sl] = mu
-	return mu
+// TripleState is the online state of one candidate triple while its
+// window is live: its monotone fraction, its rounding threshold µ once
+// drawn, and whether it is leased. The SCLD algorithm of package
+// deadline keeps the same state.
+type TripleState struct {
+	Frac   float64
+	mu     float64
+	drawn  bool
+	Bought bool
 }
 
-func (o *Online) buy(sl SetLease) bool {
-	if _, ok := o.bought[sl]; ok {
-		return false
+// Threshold lazily samples the triple's rounding threshold from rng: the
+// minimum of draws independent uniforms, fixed for the triple's lifetime.
+func (tr *TripleState) Threshold(rng *rand.Rand, draws int) float64 {
+	if !tr.drawn {
+		tr.mu, tr.drawn = 1.0, true
+		for i := 0; i < draws; i++ {
+			if u := rng.Float64(); u < tr.mu {
+				tr.mu = u
+			}
+		}
 	}
-	o.bought[sl] = struct{}{}
+	return tr.mu
+}
+
+func (o *Online) buy(sl SetLease, tr *TripleState) {
+	tr.Bought = true
 	o.log = append(o.log, sl)
 	o.total += o.inst.Costs[sl.Set][sl.K]
-	return true
 }
 
 // Arrive processes the demand (element e, multiplicity p) at time t,
@@ -141,20 +145,25 @@ func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
 	if len(cands) == 0 {
 		return 0, errors.New("no candidates left (infeasible demand)")
 	}
+	st := o.cands[:0]
+	for _, c := range cands {
+		st = append(st, o.live.At(c.Set, c.K, c.Start))
+	}
+	o.cands = st
 
 	// Fractional phase: multiplicative increments until the candidate mass
 	// reaches one.
 	sum := 0.0
-	for _, c := range cands {
-		sum += o.frac[c]
+	for _, tr := range st {
+		sum += tr.Frac
 	}
 	for sum < 1 {
 		sum = 0
-		for _, c := range cands {
+		for i, c := range cands {
 			cost := o.inst.Costs[c.Set][c.K]
-			f := o.frac[c]
+			f := st[i].Frac
 			nf := f*(1+1/cost) + 1/(float64(len(cands))*cost)
-			o.frac[c] = nf
+			st[i].Frac = nf
 			o.fracCost += (nf - f) * cost
 			sum += nf
 		}
@@ -164,15 +173,12 @@ func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
 	// threshold; remember leased candidates (new or previously bought).
 	chosen := -1
 	chosenCost := math.Inf(1)
-	for _, c := range cands {
-		leased := false
-		if _, ok := o.bought[c]; ok {
-			leased = true
-		} else if o.frac[c] > o.threshold(c) {
-			o.buy(c)
-			leased = true
+	for i, c := range cands {
+		tr := st[i]
+		if !tr.Bought && tr.Frac > tr.Threshold(o.rng, o.draws) {
+			o.buy(c, tr)
 		}
-		if leased {
+		if tr.Bought {
 			if cc := o.inst.Costs[c.Set][c.K]; cc < chosenCost {
 				chosen, chosenCost = c.Set, cc
 			}
@@ -185,15 +191,15 @@ func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
 	// Fallback: lease the cheapest candidate to guarantee feasibility. The
 	// analysis shows this fires with probability at most 1/n^2.
 	o.fallbacks++
-	best := cands[0]
-	bestCost := o.inst.Costs[best.Set][best.K]
-	for _, c := range cands[1:] {
+	best := 0
+	bestCost := o.inst.Costs[cands[0].Set][cands[0].K]
+	for i, c := range cands[1:] {
 		if cc := o.inst.Costs[c.Set][c.K]; cc < bestCost {
-			best, bestCost = c, cc
+			best, bestCost = i+1, cc
 		}
 	}
-	o.buy(best)
-	return best.Set, nil
+	o.buy(cands[best], st[best])
+	return cands[best].Set, nil
 }
 
 // Run feeds the whole instance stream through the algorithm.

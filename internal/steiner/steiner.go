@@ -104,19 +104,19 @@ func (o *Online) Serve(r Request) error {
 	}
 	o.started, o.lastT = true, r.Time
 
+	// An inactive edge charges the cheapest lease it could buy to serve
+	// this step.
+	best := o.inst.Cfg.Cost(0)
+	for k := 1; k < o.inst.Cfg.K(); k++ {
+		if c := o.inst.Cfg.Cost(k); c < best {
+			best = c
+		}
+	}
 	marginal := func(e int) float64 {
 		if o.perEdge[e].Covers(r.Time) {
 			return 0
 		}
-		// The cheapest lease the edge could buy to serve this step.
-		w := o.inst.G.Edge(e).Weight
-		best := o.inst.Cfg.Cost(0)
-		for k := 1; k < o.inst.Cfg.K(); k++ {
-			if c := o.inst.Cfg.Cost(k); c < best {
-				best = c
-			}
-		}
-		return w * best
+		return o.inst.G.Edge(e).Weight * best
 	}
 	p, err := o.inst.G.ShortestPath(r.S, r.T, marginal)
 	if err != nil {

@@ -74,7 +74,8 @@ type Recorder struct {
 
 // NewRecorder returns an empty Recorder. With keep false it still
 // enforces the protocol and counts events but retains no per-event
-// output, so long-lived sessions run in constant memory.
+// output, so a long-lived session grows only with what its Leaser
+// keeps: its purchases and assignments, not its events.
 func NewRecorder(keep bool) *Recorder { return &Recorder{keep: keep} }
 
 // Observe checks the event's time against the previous one, feeds it
