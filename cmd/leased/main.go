@@ -1,6 +1,7 @@
 // Command leased is the network-facing lease service: an HTTP/JSON
 // daemon fronting the sharded multi-tenant engine. Remote tenants open
-// sessions from full instance specs, stream demands in (JSON arrays —
+// sessions from instance specs (without the demand stream, which a
+// served session never reads), stream demands in (JSON arrays —
 // the trace format cmd/leasegen writes — or NDJSON, or, chosen per
 // request by Content-Type, the compact application/x-lease-binary
 // framing, which the daemon decodes on a pooled zero-allocation path),

@@ -90,12 +90,13 @@
 // Serve wraps an Engine in the HTTP/JSON lease service handler — the
 // network boundary cmd/leased runs as a daemon — and Dial returns the
 // matching Go client. Remote tenants open sessions from a
-// RemoteOpenRequest (a full instance spec; construction is
-// deterministic, so the same spec and seed always rebuild the same
-// algorithm), stream demands in as JSON arrays or NDJSON, and read
-// costs, snapshots and recorded runs back. Backpressure surfaces as
-// fail-fast 429s that the client retries transparently, resuming after
-// the server's accepted count. A remote session's result is
+// RemoteOpenRequest (an instance spec without its demand stream, which
+// a served session never reads; construction is deterministic, so the
+// same spec and seed always rebuild the same algorithm), stream demands
+// in as JSON arrays or NDJSON, and read costs, snapshots and recorded
+// runs back. Backpressure surfaces as fail-fast 429s that the client
+// retries transparently, resuming after the server's accepted count. A
+// remote session's result is
 // byte-identical to a local single-threaded Replay. The wire protocol
 // lives in internal/wire and docs/API.md is generated from it;
 // docs/OPERATIONS.md is the operator guide.

@@ -101,8 +101,10 @@ func recoverSessions(log *DurableLog, cfg EngineConfig) (*Engine, int, error) {
 // WireOpenSpec renders a RemoteOpenRequest as the canonical spec bytes
 // OpenSpec logs — the same encoding the lease service logs for sessions
 // opened over HTTP, so in-process and remote sessions recover
-// identically.
+// identically. Like the service, it logs the spec without its demand
+// stream (RemoteOpenRequest.WithoutStream), which a session never reads.
 func WireOpenSpec(req RemoteOpenRequest) ([]byte, error) {
+	req = req.WithoutStream()
 	spec, err := json.Marshal(&req)
 	if err != nil {
 		return nil, fmt.Errorf("leasing: encode open spec: %w", err)

@@ -37,6 +37,9 @@ type historyCase struct {
 	// the entries of its purchase logs and of the sorted start index a
 	// lease.Store keeps beside its log.
 	logBytes int64
+	// spec is the open spec build uses, for the four domains whose
+	// spec can carry a demand stream.
+	spec *wire.OpenRequest
 }
 
 var historyTypes = []wire.LeaseType{{Length: 1, Cost: 1}, {Length: 4, Cost: 3}, {Length: 16, Cost: 8}}
@@ -105,6 +108,14 @@ func historyCases(t testing.TB) []historyCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scSpec := wire.OpenRequest{Domain: wire.DomainSetCover, Types: historyTypes, Seed: 5,
+		SetCover: &wire.SetCoverSpec{Elements: elems, Sets: family, Costs: costs}}
+	scldSpec := wire.OpenRequest{Domain: wire.DomainSCLD, Types: historyTypes, Seed: 7,
+		SCLD: &wire.SCLDSpec{Elements: elems, Sets: family, Costs: costs}}
+	facSpec := wire.OpenRequest{Domain: wire.DomainFacility, Types: historyTypes,
+		Facility: &wire.FacilitySpec{Sites: sites, Costs: siteCosts}}
+	stSpec := wire.OpenRequest{Domain: wire.DomainSteiner, Types: historyTypes,
+		Steiner: &wire.SteinerSpec{Vertices: vertices, Edges: edges}}
 	return []historyCase{
 		// A lease.Store keeps 16 bytes of log and 8 of start index per lease.
 		{name: wire.DomainParking, build: fromSpec(wire.OpenRequest{Domain: wire.DomainParking, Types: historyTypes}), next: day, logBytes: 24},
@@ -118,27 +129,27 @@ func historyCases(t testing.TB) []historyCase {
 			logBytes: 24,
 		},
 		{
-			name: wire.DomainSetCover,
-			build: fromSpec(wire.OpenRequest{Domain: wire.DomainSetCover, Types: historyTypes, Seed: 5,
-				SetCover: &wire.SetCoverSpec{Elements: elems, Sets: family, Costs: costs}}),
+			name:  wire.DomainSetCover,
+			build: fromSpec(scSpec),
+			spec:  &scSpec,
 			next: func(rng *rand.Rand, t int64) stream.Event {
 				return stream.Event{Time: advance(rng, t), Payload: stream.Element{Elem: rng.Intn(elems), P: 1 + rng.Intn(2)}}
 			},
 			logBytes: 24, // one 24-byte triple
 		},
 		{
-			name: wire.DomainSCLD,
-			build: fromSpec(wire.OpenRequest{Domain: wire.DomainSCLD, Types: historyTypes, Seed: 7,
-				SCLD: &wire.SCLDSpec{Elements: elems, Sets: family, Costs: costs}}),
+			name:  wire.DomainSCLD,
+			build: fromSpec(scldSpec),
+			spec:  &scldSpec,
 			next: func(rng *rand.Rand, t int64) stream.Event {
 				return stream.Event{Time: advance(rng, t), Payload: stream.ElementWindow{Elem: rng.Intn(elems), D: slack(rng, 12, 100)}}
 			},
 			logBytes: 24,
 		},
 		{
-			name: wire.DomainFacility,
-			build: fromSpec(wire.OpenRequest{Domain: wire.DomainFacility, Types: historyTypes,
-				Facility: &wire.FacilitySpec{Sites: sites, Costs: siteCosts}}),
+			name:  wire.DomainFacility,
+			build: fromSpec(facSpec),
+			spec:  &facSpec,
 			next: func(rng *rand.Rand, t int64) stream.Event {
 				var b stream.Batch
 				for range rng.Intn(3) {
@@ -150,9 +161,9 @@ func historyCases(t testing.TB) []historyCase {
 			logBytes: 32, // a triple and its start
 		},
 		{
-			name: wire.DomainSteiner,
-			build: fromSpec(wire.OpenRequest{Domain: wire.DomainSteiner, Types: historyTypes,
-				Steiner: &wire.SteinerSpec{Vertices: vertices, Edges: edges}}),
+			name:  wire.DomainSteiner,
+			build: fromSpec(stSpec),
+			spec:  &stSpec,
 			next: func(rng *rand.Rand, t int64) stream.Event {
 				s := rng.Intn(vertices)
 				u := (s + 1 + rng.Intn(vertices-1)) % vertices
@@ -206,12 +217,11 @@ func replay(t testing.TB, hc historyCase, l stream.Leaser, n int, f func(stream.
 	}
 }
 
-// replayDigest replays n events through a fresh leaser and returns the
-// SHA-256 of the printed decision stream, the final cost and the final
-// snapshot.
-func replayDigest(t testing.TB, hc historyCase, n int) string {
+// replayDigest replays n events through l, a fresh leaser, and returns
+// the SHA-256 of the printed decision stream, the final cost and the
+// final snapshot.
+func replayDigest(t testing.TB, hc historyCase, l stream.Leaser, n int) string {
 	t.Helper()
-	l := hc.build(t)
 	h := sha256.New()
 	replay(t, hc, l, n, func(d stream.Decision) { fmt.Fprintf(h, "%+v\n", d) })
 	fmt.Fprintf(h, "cost %+v\nsnapshot %+v\n", l.Cost(), l.Snapshot())
@@ -223,25 +233,27 @@ func replayDigest(t testing.TB, hc historyCase, n int) string {
 // of its longest type's windows.
 const historyEvents = 50_000
 
-// TestLongHistoryGoldens pins each domain's output over a long history:
-// the digest of its decisions, final cost and final snapshot.
+// historyGoldens are the digests of each domain's output over
+// historyEvents events: its decisions, final cost and final snapshot.
+var historyGoldens = map[string]string{
+	"parking":         "aa0311a97c5a6ed0a30425113020be4f9bae0bfd7283a8d866c49e69165c5fc7",
+	"parking-rand":    "e5a58b02d6a8cfbca8dacd6a633cc3b98d2141d4f4b1c61d097a357e0aca0184",
+	"deadline":        "6ddb5bdcb752e2fc93e610e185860a4748756de208b4f13058899d8b577ff9b0",
+	"setcover":        "71a2c0a2c84883e77061889bfbda981e914e55f4689c855558d4138f7e9577bd",
+	"scld":            "bf21f7b67452dd143b9897f18fba4799a7aa9016086f4cb76e3c2ceb0cf147d0",
+	"facility":        "9753710335c0d6b34b930f2f3f66153165602e7dd6be53f1d2a0eb6a044b4fcd",
+	"steiner":         "e26d603044ccd64eec7fb48b6dbf42a9ed764fdb99f9fd950bb0142dbfd094bb",
+	"reusable":        "fda553b0bc93772903ef922b8cda865c83a8a7252307a05e99c24f39bdb85d64",
+	"parking-general": "f1cf59fb046753e34aa1d0c27372a55b72493ef02f5bc8e37f644680aa88b6a3",
+}
+
+// TestLongHistoryGoldens pins each domain's output over a long history.
 func TestLongHistoryGoldens(t *testing.T) {
-	want := map[string]string{
-		"parking":         "aa0311a97c5a6ed0a30425113020be4f9bae0bfd7283a8d866c49e69165c5fc7",
-		"parking-rand":    "e5a58b02d6a8cfbca8dacd6a633cc3b98d2141d4f4b1c61d097a357e0aca0184",
-		"deadline":        "6ddb5bdcb752e2fc93e610e185860a4748756de208b4f13058899d8b577ff9b0",
-		"setcover":        "71a2c0a2c84883e77061889bfbda981e914e55f4689c855558d4138f7e9577bd",
-		"scld":            "bf21f7b67452dd143b9897f18fba4799a7aa9016086f4cb76e3c2ceb0cf147d0",
-		"facility":        "9753710335c0d6b34b930f2f3f66153165602e7dd6be53f1d2a0eb6a044b4fcd",
-		"steiner":         "e26d603044ccd64eec7fb48b6dbf42a9ed764fdb99f9fd950bb0142dbfd094bb",
-		"reusable":        "fda553b0bc93772903ef922b8cda865c83a8a7252307a05e99c24f39bdb85d64",
-		"parking-general": "f1cf59fb046753e34aa1d0c27372a55b72493ef02f5bc8e37f644680aa88b6a3",
-	}
 	for _, hc := range historyCases(t) {
 		t.Run(hc.name, func(t *testing.T) {
 			t.Parallel()
-			if got := replayDigest(t, hc, historyEvents); got != want[hc.name] {
-				t.Errorf("digest %s, want %s", got, want[hc.name])
+			if got := replayDigest(t, hc, hc.build(t), historyEvents); got != historyGoldens[hc.name] {
+				t.Errorf("digest %s, want %s", got, historyGoldens[hc.name])
 			}
 		})
 	}

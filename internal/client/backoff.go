@@ -16,18 +16,23 @@ import (
 // backoffCap bounds the exponential step at this multiple of the base.
 const backoffCap = 64
 
+// newSource builds a schedule's jitter source on its first wait. It is
+// a variable so tests can count the sources a submit builds.
+var newSource = rand.NewSource
+
 // backoff produces one retry schedule. Not safe for concurrent use;
 // make one per retry loop.
 type backoff struct {
 	base time.Duration
 	step time.Duration
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // built by the first wait: most submits never retry
 }
 
 // newBackoff starts a schedule at base. The seed fully determines every
 // delay the schedule will produce.
 func newBackoff(base time.Duration, seed int64) *backoff {
-	return &backoff{base: base, step: base, rng: rand.New(rand.NewSource(seed))}
+	return &backoff{base: base, step: base, seed: seed}
 }
 
 // wait returns the next delay — half the current exponential step plus
@@ -35,6 +40,9 @@ func newBackoff(base time.Duration, seed int64) *backoff {
 // of the unjittered schedule while decorrelating producers — and then
 // advances the step.
 func (b *backoff) wait() time.Duration {
+	if b.rng == nil {
+		b.rng = rand.New(newSource(b.seed))
+	}
 	half := b.step / 2
 	d := half + time.Duration(b.rng.Int63n(int64(half)+1))
 	if b.step < backoffCap*b.base {

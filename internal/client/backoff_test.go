@@ -6,8 +6,16 @@ package client
 // structural invariants every seed must keep.
 
 import (
+	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"leasing/internal/wire"
 )
 
 // TestBackoffSchedulePinned: seed 7 over a 2ms base produces exactly
@@ -91,5 +99,51 @@ func TestTenantSeedSpreads(t *testing.T) {
 	}
 	if tenantSeed(1, "tenant-a") == tenantSeed(2, "tenant-a") {
 		t.Fatal("client seed does not mix in")
+	}
+}
+
+// TestSubmitSeedsBackoffOnlyWhenItWaits: a schedule builds its jitter
+// source on its first wait, so a submit answered 200 builds none, and
+// one that meets a 429 builds exactly one.
+func TestSubmitSeedsBackoffOnlyWhenItWaits(t *testing.T) {
+	built := 0
+	newSource = func(seed int64) rand.Source {
+		built++
+		return rand.NewSource(seed)
+	}
+	defer func() { newSource = rand.NewSource }()
+
+	var backpressure atomic.Int32 // 429s left to answer before accepting
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var evs []wire.Event
+		if err := json.NewDecoder(r.Body).Decode(&evs); err != nil {
+			t.Errorf("decode submit body: %v", err)
+		}
+		if backpressure.Load() > 0 {
+			backpressure.Add(-1)
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(&wire.Error{Code: wire.CodeBackpressure, Message: "queue full"})
+			return
+		}
+		json.NewEncoder(w).Encode(wire.SubmitResponse{Accepted: len(evs)})
+	}))
+	defer srv.Close()
+	c := New(srv.URL, Options{RetryWait: time.Microsecond})
+	evs := []wire.Event{{Kind: wire.KindDay, Time: 1}, {Kind: wire.KindDay, Time: 2}}
+
+	for i := 0; i < 3; i++ {
+		if n, err := c.Submit(context.Background(), "t", evs); err != nil || n != len(evs) {
+			t.Fatalf("submit %d = %d, %v", i, n, err)
+		}
+	}
+	if built != 0 {
+		t.Fatalf("three submits answered 200 built %d jitter sources, want 0", built)
+	}
+	backpressure.Store(1)
+	if n, err := c.Submit(context.Background(), "t", evs); err != nil || n != len(evs) {
+		t.Fatalf("submit after a 429 = %d, %v", n, err)
+	}
+	if built != 1 {
+		t.Fatalf("a submit that waited once built %d jitter sources, want 1", built)
 	}
 }

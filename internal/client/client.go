@@ -136,10 +136,16 @@ func tenantPath(tenant, suffix string) string {
 	return "/v1/tenants/" + url.PathEscape(tenant) + suffix
 }
 
-// Open opens a tenant session from its spec.
+// Open opens a tenant session from its spec. It sends the spec's
+// WithoutStream form: the demand stream of an instance spec
+// (SetCoverSpec.Arrivals, SCLDSpec.Arrivals, FacilitySpec.Batches,
+// SteinerSpec.Requests) is left out, because a served session never
+// reads it and its events arrive through Submit. So an open costs the
+// same however long the stream is. req itself is not modified: a caller
+// can still build its local Replay reference from it.
 func (c *Client) Open(ctx context.Context, tenant string, req wire.OpenRequest) error {
 	var resp wire.OpenResponse
-	return c.doJSON(ctx, http.MethodPost, tenantPath(tenant, ""), req, &resp)
+	return c.doJSON(ctx, http.MethodPost, tenantPath(tenant, ""), req.WithoutStream(), &resp)
 }
 
 // IsCode reports whether err is (or wraps) a wire error with the given

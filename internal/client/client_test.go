@@ -1,10 +1,13 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -146,5 +149,68 @@ func TestContextCancellation(t *testing.T) {
 	defer cancel()
 	if _, err := cli.Submit(ctx, "acme", events(3)); err == nil {
 		t.Fatal("no error from canceled context")
+	}
+}
+
+// TestOpenSendsSpecWithoutStream: Open sends the spec's WithoutStream
+// form, so its body is the same size for 10 and for 10,000 arrivals,
+// and it leaves the caller's spec, stream included, as it was: a caller
+// builds its Replay reference from the same value.
+func TestOpenSendsSpecWithoutStream(t *testing.T) {
+	var mu sync.Mutex
+	var bodies [][]byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("read open body: %v", err)
+		}
+		mu.Lock()
+		bodies = append(bodies, b)
+		mu.Unlock()
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(wire.OpenResponse{Tenant: "acme", Domain: wire.DomainSetCover})
+	}))
+	defer ts.Close()
+	cli := client.New(ts.URL, client.Options{})
+
+	spec := func(n int) wire.OpenRequest {
+		arrivals := make([]wire.ElementArrival, n)
+		for i := range arrivals {
+			arrivals[i] = wire.ElementArrival{T: int64(i), Elem: i % 3, P: 1}
+		}
+		return wire.OpenRequest{
+			Domain: wire.DomainSetCover, Types: []wire.LeaseType{{Length: 1, Cost: 1}, {Length: 4, Cost: 3}}, Seed: 9,
+			SetCover: &wire.SetCoverSpec{Elements: 3, Sets: [][]int{{0, 1}, {1, 2}}, Costs: [][]float64{{1, 3}, {1, 3}}, Arrivals: arrivals},
+		}
+	}
+	for _, n := range []int{10, 10_000} {
+		req := spec(n)
+		before, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Open(context.Background(), "acme", req); err != nil {
+			t.Fatal(err)
+		}
+		after, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || len(req.SetCover.Arrivals) != n {
+			t.Errorf("Open changed the caller's %d-arrival spec", n)
+		}
+	}
+	if len(bodies) != 2 {
+		t.Fatalf("service saw %d opens, want 2", len(bodies))
+	}
+	if len(bodies[0]) != len(bodies[1]) {
+		t.Errorf("open bodies of %d and %d bytes for 10 and 10,000 arrivals, want equal sizes", len(bodies[0]), len(bodies[1]))
+	}
+	var sent wire.OpenRequest
+	if err := json.Unmarshal(bodies[1], &sent); err != nil {
+		t.Fatal(err)
+	}
+	if want := spec(10_000).WithoutStream(); !reflect.DeepEqual(sent, want) {
+		t.Errorf("open sent %+v, want the stream-less spec %+v", sent, want)
 	}
 }

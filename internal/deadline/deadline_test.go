@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"leasing/internal/lease"
@@ -386,5 +388,74 @@ func TestSCLDZeroSlackIsSetCoverLeasing(t *testing.T) {
 	}
 	if len(inst.Arrivals) > 0 && alg.FractionalCost() <= 0 {
 		t.Error("fractional cost not tracked")
+	}
+}
+
+// TestUnboundedSlackRejected: a window that ends past the largest time,
+// or names more than MaxCandidates aligned leases, fails its arrival
+// before the algorithm reads any candidate state or draws from its rng,
+// so the next window is served exactly as on a fresh algorithm.
+func TestUnboundedSlackRejected(t *testing.T) {
+	const tm = 100
+	slacks := []struct {
+		d    int64
+		want string
+	}{
+		{math.MaxInt64, "largest time"},
+		{math.MaxInt64 - tm, "candidate leases"},
+		{1 << 40, "candidate leases"},
+	}
+	fam, _ := setcover.NewFamily(3, [][]int{{0, 1}, {1, 2}})
+	inst, err := NewSCLDInstance(fam, oldConfig(), [][]float64{{1, 2}, {1, 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range slacks {
+		alg, _ := NewOnline(oldConfig())
+		if err := alg.Arrive(tm, sl.d); err == nil || !strings.Contains(err.Error(), sl.want) {
+			t.Errorf("OLD slack %d: error %v, want one about %q", sl.d, err, sl.want)
+		}
+		ref, _ := NewOnline(oldConfig())
+		for _, a := range []*Online{alg, ref} {
+			if err := a.Arrive(tm, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(alg.Leases(), ref.Leases()) || alg.DualTotal() != ref.DualTotal() {
+			t.Errorf("OLD slack %d: the failed arrival changed the next one's outcome", sl.d)
+		}
+
+		rng := rand.New(rand.NewSource(1))
+		sc, _ := NewSCLDOnline(inst, rng)
+		if err := sc.Arrive(tm, 1, sl.d); err == nil || !strings.Contains(err.Error(), sl.want) {
+			t.Errorf("SCLD slack %d: error %v, want one about %q", sl.d, err, sl.want)
+		}
+		if rng.Int63() != rand.New(rand.NewSource(1)).Int63() {
+			t.Errorf("SCLD slack %d: the failed arrival drew from the rng", sl.d)
+		}
+	}
+}
+
+// TestCandidateBoundIsExact: with one type of length 2, a window from
+// an aligned start names d/2 + 1 leases, so MaxCandidates of them pass
+// and one more fails. A window the skip rule serves names none, so its
+// slack is not bounded.
+func TestCandidateBoundIsExact(t *testing.T) {
+	cfg := lease.MustConfig(lease.Type{Length: 2, Cost: 1})
+	alg, _ := NewOnline(cfg)
+	if err := alg.Arrive(0, 2*(MaxCandidates-1)); err != nil {
+		t.Errorf("a window of exactly MaxCandidates leases: %v", err)
+	}
+	alg, _ = NewOnline(cfg)
+	if err := alg.Arrive(0, 2*MaxCandidates); err == nil {
+		t.Error("a window of MaxCandidates+1 leases accepted")
+	}
+
+	alg, _ = NewOnline(oldConfig())
+	if err := alg.Arrive(0, 6); err != nil { // deadline day 6
+		t.Fatal(err)
+	}
+	if err := alg.Arrive(4, 1<<40); err != nil || alg.Skips() != 1 {
+		t.Errorf("window [4, 4+2^40] holds day 6: error %v, skips %d, want served by the skip rule", err, alg.Skips())
 	}
 }

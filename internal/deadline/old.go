@@ -20,6 +20,41 @@ import (
 
 const tightEps = 1e-9
 
+// MaxCandidates bounds how many aligned leases one demand may name as
+// candidates: the leases of every type that intersect its window
+// [t, t+d], for each set containing its element in SCLD. The algorithms
+// keep state for every candidate, so a demand past the bound fails
+// instead of asking for that much memory. It admits slacks up to about
+// MaxCandidates·l_min, far beyond any window where the Θ(K + d_max/l_min)
+// bound of Section 5.3 says anything useful.
+const MaxCandidates = 1 << 16
+
+// windowEnd returns the last day t+d of a window with slack d >= 0, or
+// an error when it overflows int64.
+func windowEnd(t, d int64) (int64, error) {
+	if t > 0 && d > math.MaxInt64-t {
+		return 0, fmt.Errorf("deadline: window of slack %d at %d ends past the largest time", d, t)
+	}
+	return t + d, nil
+}
+
+// checkCandidates returns an error when the aligned leases intersecting
+// [t, end], over every type and for each of items items, number more
+// than MaxCandidates.
+func checkCandidates(cfg *lease.Config, t, end int64, items int) error {
+	var n int64
+	for k := 0; k < cfg.K(); k++ {
+		// Aligned starts divide exactly, and the quotients' difference
+		// fits in int64 even where end minus the start would not.
+		l := cfg.Length(k)
+		n += min(cfg.AlignedStart(k, end)/l-cfg.AlignedStart(k, t)/l, MaxCandidates) + 1
+	}
+	if n*int64(items) > MaxCandidates {
+		return fmt.Errorf("deadline: window [%d, %d] names more than %d candidate leases", t, end, MaxCandidates)
+	}
+	return nil
+}
+
 // ErrNotIntervalModel is returned when a configuration's lengths are not
 // powers of two.
 var ErrNotIntervalModel = errors.New("deadline: configuration is not in the interval model")
@@ -106,6 +141,10 @@ func (o *Online) Arrive(t, d int64) error {
 	if d < 0 {
 		return fmt.Errorf("deadline: negative slack %d", d)
 	}
+	end, err := windowEnd(t, d)
+	if err != nil {
+		return err
+	}
 	if o.started && t < o.lastT {
 		return fmt.Errorf("deadline: arrival at %d precedes %d", t, o.lastT)
 	}
@@ -116,17 +155,20 @@ func (o *Online) Arrive(t, d int64) error {
 	// Deadline days before t can never fall in a later window: drop them.
 	lo := sort.Search(len(o.posDuals), func(i int) bool { return o.posDuals[i] >= t })
 	o.posDuals = o.posDuals[lo:]
-	if len(o.posDuals) > 0 && o.posDuals[0] <= t+d {
+	if len(o.posDuals) > 0 && o.posDuals[0] <= end {
 		o.skips++
 		return nil
 	}
 
 	// The candidates are the aligned leases intersecting [t, t+d]: per
 	// type, the run of starts from the one covering t.
+	if err := checkCandidates(o.cfg, t, end, 1); err != nil {
+		return err
+	}
 	o.cands, o.state = o.cands[:0], o.state[:0]
 	for k := 0; k < o.cfg.K(); k++ {
 		from, l := o.cfg.AlignedStart(k, t), o.cfg.Length(k)
-		run := o.contrib.Run(0, k, from, o.cfg.AlignedStart(k, t+d))
+		run := o.contrib.Run(0, k, from, o.cfg.AlignedStart(k, end))
 		for i := range run {
 			o.cands = append(o.cands, lease.Lease{K: k, Start: from + int64(i)*l})
 			o.state = append(o.state, &run[i])
@@ -147,10 +189,10 @@ func (o *Online) Arrive(t, d int64) error {
 			}
 		}
 		// Record the deadline day for the skip rule.
-		at := sort.Search(len(o.posDuals), func(i int) bool { return o.posDuals[i] >= t+d })
+		at := sort.Search(len(o.posDuals), func(i int) bool { return o.posDuals[i] >= end })
 		o.posDuals = append(o.posDuals, 0)
 		copy(o.posDuals[at+1:], o.posDuals[at:])
-		o.posDuals[at] = t + d
+		o.posDuals[at] = end
 	}
 	// Buy every tight candidate covering day t; mirror each bought type at
 	// day t+d.
@@ -173,7 +215,7 @@ func (o *Online) Arrive(t, d int64) error {
 	}
 	for k, b := range boughtType {
 		if b {
-			o.store.Buy(o.cfg.AlignedLease(k, t+d))
+			o.store.Buy(o.cfg.AlignedLease(k, end))
 		}
 	}
 	return nil

@@ -124,20 +124,31 @@ func (o *SCLDOnline) buy(sl setcover.SetLease, tr *setcover.TripleState) {
 // liveCandidates collects the demand's candidates, in the order
 // SCLDInstance.candidates lists them, with their live state. Each
 // (set, type) slot's run starts at the aligned start covering t, so
-// reading it retires the slot's expired starts.
-func (o *SCLDOnline) liveCandidates(e int, t, d int64) {
-	o.cands, o.state = o.cands[:0], o.state[:0]
+// reading it retires the slot's expired starts. A window that ends past
+// the largest time or names more than MaxCandidates candidates fails
+// before any state is read.
+func (o *SCLDOnline) liveCandidates(e int, t, d int64) error {
+	end, err := windowEnd(t, d)
+	if err != nil {
+		return err
+	}
 	cfg := o.inst.Cfg
-	for _, s := range o.inst.Fam.Containing(e) {
+	sets := o.inst.Fam.Containing(e)
+	if err := checkCandidates(cfg, t, end, len(sets)); err != nil {
+		return err
+	}
+	o.cands, o.state = o.cands[:0], o.state[:0]
+	for _, s := range sets {
 		for k := 0; k < cfg.K(); k++ {
 			from, l := cfg.AlignedStart(k, t), cfg.Length(k)
-			run := o.live.Run(s, k, from, cfg.AlignedStart(k, t+d))
+			run := o.live.Run(s, k, from, cfg.AlignedStart(k, end))
 			for i := range run {
 				o.cands = append(o.cands, setcover.SetLease{Set: s, K: k, Start: from + int64(i)*l})
 				o.state = append(o.state, &run[i])
 			}
 		}
 	}
+	return nil
 }
 
 // Arrive processes the demand (element e, window [t, t+d]).
@@ -152,7 +163,9 @@ func (o *SCLDOnline) Arrive(t int64, e int, d int64) error {
 	if d < 0 {
 		return fmt.Errorf("deadline: negative slack %d", d)
 	}
-	o.liveCandidates(e, t, d)
+	if err := o.liveCandidates(e, t, d); err != nil {
+		return err
+	}
 	cands, st := o.cands, o.state
 	if len(cands) == 0 {
 		return fmt.Errorf("deadline: element %d in no set", e)

@@ -220,6 +220,10 @@ func (e *Engine) OpenSpec(tenant string, l stream.Leaser, spec []byte) error {
 	return e.open(tenant, l, spec)
 }
 
+// Durable reports whether the engine keeps a write-ahead log, that is,
+// whether OpenSpec logs the spec it is given rather than ignoring it.
+func (e *Engine) Durable() bool { return e.cfg.WAL != nil }
+
 // open installs the session; the shard logs spec during the install
 // when non-nil (Restore passes nil — its open is already logged).
 func (e *Engine) open(tenant string, l stream.Leaser, spec []byte) error {

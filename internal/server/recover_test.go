@@ -158,8 +158,14 @@ func verifyRecovered(t *testing.T, eng *engine.Engine, tc remoteCase, events []s
 // all eight domain leasers are logged under one engine shape, recovered
 // under a different one, and every tenant must match a Replay of its
 // full logged history. Segment rotation is forced small so recovery
-// also crosses segment boundaries.
+// also crosses segment boundaries. runDurable logs every spec whole,
+// demand stream included, as builds before stream-less open records
+// wrote them, so this is also the check that such logs still recover
+// under the same segment version.
 func TestRecoveryParityAllDomains(t *testing.T) {
+	if wal.SegVersion != 3 {
+		t.Fatalf("segment version %d: open records without a stream need no new version, want 3", wal.SegVersion)
+	}
 	cases := remoteCases(t)
 	configs := []struct {
 		logShards, logBatch int
@@ -186,6 +192,17 @@ func TestRecoveryParityAllDomains(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer wlog.Close()
+			streams := 0
+			for _, s := range wlog.Recover() {
+				for _, field := range []string{`"arrivals":[`, `"batches":[`, `"requests":[`} {
+					if strings.Contains(string(s.Spec), field) {
+						streams++
+					}
+				}
+			}
+			if streams != 4 {
+				t.Fatalf("%d open records carry a demand stream, want 4", streams)
+			}
 			eng := recoverEngine(t, wlog, engine.Config{Shards: cc.recShards, BatchSize: cc.recBatch, RecordRuns: true})
 			defer eng.Close()
 			for _, tc := range cases {

@@ -243,13 +243,18 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, wire.CodeBadRequest, "build session: "+err.Error(), 0)
 		return
 	}
-	// The re-marshaled (canonical) spec rides along so a durable engine
-	// can log it: recovery rebuilds the session from exactly these bytes
-	// through the same wire.OpenRequest.Build mapping.
-	spec, err := json.Marshal(&req)
-	if err != nil {
-		writeError(w, wire.CodeBadRequest, "encode open spec: "+err.Error(), 0)
-		return
+	// A durable engine logs the re-marshaled (canonical) spec without
+	// its demand stream, which the session never reads: recovery
+	// rebuilds the session from exactly these bytes through the same
+	// wire.OpenRequest.Build mapping. Without a WAL the spec is ignored,
+	// so it is not encoded at all.
+	var spec []byte
+	if s.eng.Durable() {
+		online := req.WithoutStream()
+		if spec, err = json.Marshal(&online); err != nil {
+			writeError(w, wire.CodeBadRequest, "encode open spec: "+err.Error(), 0)
+			return
+		}
 	}
 	if err := s.eng.OpenSpec(tenant, lsr, spec); err != nil {
 		writeEngineError(w, err, 0)

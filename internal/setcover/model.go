@@ -13,6 +13,7 @@ package setcover
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"leasing/internal/lease"
@@ -188,20 +189,19 @@ func (in *Instance) Horizon() int64 {
 	return in.Arrivals[len(in.Arrivals)-1].T + 1
 }
 
-// Candidates returns the candidate triples of a demand (element e at time
-// t): for every set containing e and every lease type, the aligned lease
-// covering t. Sets listed in exclude are skipped.
-func (in *Instance) Candidates(e int, t int64, exclude map[int]bool) []SetLease {
-	var out []SetLease
+// Candidates appends to dst the candidate triples of a demand (element e
+// at time t): for every set containing e and every lease type, the
+// aligned lease covering t. Sets listed in exclude are skipped.
+func (in *Instance) Candidates(dst []SetLease, e int, t int64, exclude []int) []SetLease {
 	for _, s := range in.Fam.Containing(e) {
-		if exclude[s] {
+		if slices.Contains(exclude, s) {
 			continue
 		}
 		for k := 0; k < in.Cfg.K(); k++ {
-			out = append(out, SetLease{Set: s, K: k, Start: in.Cfg.AlignedStart(k, t)})
+			dst = append(dst, SetLease{Set: s, K: k, Start: in.Cfg.AlignedStart(k, t)})
 		}
 	}
-	return out
+	return dst
 }
 
 // SetLease is the triple (S, k, t): set Set leased with type K from Start.

@@ -29,11 +29,13 @@ type Online struct {
 	rng   *rand.Rand
 	draws int
 	live  *lease.Live[TripleState] // the live candidates' state, per (set, type)
-	cands []*TripleState           // state of the current layer's candidates
+	layer []SetLease               // the current layer's candidates
+	cands []*TripleState           // and their state
+	excl  []int                    // the sets the current arrival may no longer count
 	log   []SetLease               // bought, in buy order: append-only
-	// usedByElem tracks, per element, the sets counted for earlier arrivals
-	// (PerElement scope only).
-	usedByElem map[int]map[int]bool
+	// usedByElem lists, per element, the sets counted for earlier
+	// arrivals (PerElement scope only).
+	usedByElem map[int][]int
 	total      float64
 	fracCost   float64
 	fallbacks  int
@@ -66,7 +68,7 @@ func NewOnline(inst *Instance, rng *rand.Rand, opts Options) (*Online, error) {
 		rng:        rng,
 		draws:      draws,
 		live:       lease.NewLive[TripleState](inst.Cfg, inst.Fam.M()),
-		usedByElem: make(map[int]map[int]bool),
+		usedByElem: make(map[int][]int),
 	}, nil
 }
 
@@ -115,23 +117,18 @@ func (o *Online) Arrive(t int64, e int, p int) error {
 		return fmt.Errorf("setcover: multiplicity %d < 1", p)
 	}
 
-	exclude := map[int]bool{}
+	o.excl = o.excl[:0]
 	if o.inst.Scope == PerElement {
-		for s := range o.usedByElem[e] {
-			exclude[s] = true
-		}
+		o.excl = append(o.excl, o.usedByElem[e]...)
 	}
 	for layer := 0; layer < p; layer++ {
-		usedSet, err := o.coverOnce(t, e, exclude)
+		usedSet, err := o.coverOnce(t, e)
 		if err != nil {
 			return fmt.Errorf("setcover: element %d layer %d at %d: %w", e, layer, t, err)
 		}
-		exclude[usedSet] = true
+		o.excl = append(o.excl, usedSet)
 		if o.inst.Scope == PerElement {
-			if o.usedByElem[e] == nil {
-				o.usedByElem[e] = make(map[int]bool)
-			}
-			o.usedByElem[e][usedSet] = true
+			o.usedByElem[e] = append(o.usedByElem[e], usedSet)
 		}
 	}
 	return nil
@@ -140,8 +137,9 @@ func (o *Online) Arrive(t int64, e int, p int) error {
 // coverOnce is Algorithm 3 (i-Cover): it guarantees that after it returns,
 // at least one candidate outside the exclusion list is leased, and returns
 // the set chosen to account for this layer.
-func (o *Online) coverOnce(t int64, e int, exclude map[int]bool) (int, error) {
-	cands := o.inst.Candidates(e, t, exclude)
+func (o *Online) coverOnce(t int64, e int) (int, error) {
+	cands := o.inst.Candidates(o.layer[:0], e, t, o.excl)
+	o.layer = cands
 	if len(cands) == 0 {
 		return 0, errors.New("no candidates left (infeasible demand)")
 	}

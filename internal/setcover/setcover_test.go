@@ -3,6 +3,7 @@ package setcover
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"leasing/internal/lease"
@@ -389,11 +390,11 @@ func TestCandidatesExcludes(t *testing.T) {
 	fam, _ := NewFamily(2, [][]int{{0, 1}, {1}})
 	cfg := smallConfig()
 	inst := mustInstance(t, fam, cfg, [][]float64{{1, 2}, {1, 2}}, nil, PerArrival)
-	all := inst.Candidates(1, 5, nil)
+	all := inst.Candidates(nil, 1, 5, nil)
 	if len(all) != 4 { // 2 sets x 2 types
 		t.Fatalf("candidates = %d, want 4", len(all))
 	}
-	some := inst.Candidates(1, 5, map[int]bool{0: true})
+	some := inst.Candidates(nil, 1, 5, []int{0})
 	if len(some) != 2 {
 		t.Fatalf("candidates with exclusion = %d, want 2", len(some))
 	}
@@ -432,5 +433,36 @@ func TestRoundingDrawsAblationKnob(t *testing.T) {
 		if err := VerifyFeasible(inst, alg.Bought()); err != nil {
 			t.Errorf("draws=%d: %v", draws, err)
 		}
+	}
+}
+
+// TestArriveAllocatesNothing pins the arrival path's scratch reuse: once
+// warm, a PerArrival demand builds its exclusions and candidates in
+// buffers the algorithm owns, so with the purchase log's capacity
+// reserved (the log is output, and grows with it) an arrival allocates
+// nothing.
+func TestArriveAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inst, err := RandomInstance(rng, lease.PowerConfig(3, 4, 0.5), 32, 32, 3, 1, 0, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := NewOnline(inst, rng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tm int64
+	arrive := func() {
+		if err := alg.Arrive(tm, int(tm%32), 1+int(tm%2)); err != nil {
+			t.Fatal(err)
+		}
+		tm++
+	}
+	for range 1000 {
+		arrive()
+	}
+	alg.log = slices.Grow(alg.log, 1<<16)
+	if n := testing.AllocsPerRun(1000, arrive); n != 0 {
+		t.Errorf("an arrival allocates %v times, want 0", n)
 	}
 }

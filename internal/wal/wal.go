@@ -105,7 +105,7 @@ const (
 // engine installs a session and before the open is acknowledged.
 type OpenRecord struct {
 	Tenant string          `json:"tenant" doc:"the opened tenant"`
-	Spec   json.RawMessage `json:"spec" doc:"the session's open spec (a wire OpenRequest), rebuilt into the same deterministic algorithm on recovery"`
+	Spec   json.RawMessage `json:"spec" doc:"the session's open spec (a wire OpenRequest) without its demand stream, rebuilt into the same deterministic algorithm on recovery; a full spec, as earlier builds logged it, recovers identically"`
 }
 
 // CloseRecord is the payload of a KindClose record, appended before the

@@ -172,15 +172,19 @@ func Endpoints() []Endpoint {
 			Method:  http.MethodPost,
 			Path:    "/v1/tenants/{tenant}",
 			Auth:    AuthTenant,
-			Summary: "Open a tenant session from a full instance spec.",
+			Summary: "Open a tenant session from an instance spec.",
 			Request: OpenRequest{}, Response: OpenResponse{},
 			Errors: []string{CodeBadRequest, CodeDuplicateTenant, CodeStorageFailed, CodeShuttingDown},
 			Notes: "Construction is deterministic: the same spec (including seed) " +
 				"always builds the same algorithm, so a remote session is exactly " +
-				"reproducible by a local replay of the same spec and events. On a " +
-				"durable daemon (-data-dir) the spec is write-ahead logged before " +
-				"the open is acknowledged, and recovery rebuilds the session from " +
-				"it after a restart (see docs/DURABILITY.md).",
+				"reproducible by a local replay of the same spec and events. The " +
+				"demand stream of an instance spec (arrivals, batches or requests) " +
+				"is optional: the daemon validates one it is sent, but a session " +
+				"serves only the events submitted to it, and the Go client leaves " +
+				"the stream out. On a durable daemon (-data-dir) the spec, without " +
+				"its stream, is write-ahead logged before the open is acknowledged, " +
+				"and recovery rebuilds the session from it after a restart (see " +
+				"docs/DURABILITY.md).",
 		},
 		{
 			Name:    "submit",

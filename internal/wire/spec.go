@@ -1,12 +1,15 @@
 package wire
 
-// Open-session specs: a remote tenant describes its whole problem
-// instance in JSON — lease configuration, domain, and the domain's
-// instance data — and Build constructs the same Leaser an in-process
-// caller would get from the root facade's NewXxxStream constructors.
-// Construction is deterministic given the spec (randomized algorithms
-// draw from a generator seeded with Seed), which is what makes a remote
-// session's output reproducible against a local Replay.
+// Open-session specs: a remote tenant describes its problem instance in
+// JSON — lease configuration, domain, and the domain's instance data —
+// and Build constructs the same Leaser an in-process caller would get
+// from the root facade's NewXxxStream constructors. Construction is
+// deterministic given the spec (randomized algorithms draw from a
+// generator seeded with Seed), which is what makes a remote session's
+// output reproducible against a local Replay. The algorithms are
+// online: a served session learns its demands only from submitted
+// events, so a spec's demand stream is optional and WithoutStream drops
+// it before the spec is sent or logged.
 
 import (
 	"fmt"
@@ -102,7 +105,7 @@ type SetCoverSpec struct {
 	Elements   int              `json:"elements" doc:"universe size n; elements are 0..n-1"`
 	Sets       [][]int          `json:"sets" doc:"the set system: sets[s] lists the elements of set s"`
 	Costs      [][]float64      `json:"costs" doc:"costs[s][k] is the price of leasing set s with type k"`
-	Arrivals   []ElementArrival `json:"arrivals" doc:"the demand stream, sorted by arrival step"`
+	Arrivals   []ElementArrival `json:"arrivals,omitempty" doc:"the demand stream, sorted by arrival step: validated when present, never read by a served session"`
 	PerElement bool             `json:"per_element,omitempty" doc:"multicover scope: true means every repeat arrival of an element needs a fresh set"`
 }
 
@@ -111,21 +114,21 @@ type SCLDSpec struct {
 	Elements int           `json:"elements" doc:"universe size n; elements are 0..n-1"`
 	Sets     [][]int       `json:"sets" doc:"the set system: sets[s] lists the elements of set s"`
 	Costs    [][]float64   `json:"costs" doc:"costs[s][k] is the price of leasing set s with type k"`
-	Arrivals []SCLDArrival `json:"arrivals" doc:"the demand stream, sorted by arrival step"`
+	Arrivals []SCLDArrival `json:"arrivals,omitempty" doc:"the demand stream, sorted by arrival step: validated when present, never read by a served session"`
 }
 
 // FacilitySpec is the instance data of a facility session.
 type FacilitySpec struct {
 	Sites   []Point     `json:"sites" doc:"candidate facility locations"`
 	Costs   [][]float64 `json:"costs" doc:"costs[i][k] is the price of leasing site i with type k"`
-	Batches [][]Point   `json:"batches" doc:"batches[t] lists the clients arriving at step t (empty steps allowed)"`
+	Batches [][]Point   `json:"batches,omitempty" doc:"the demand stream: batches[t] lists the clients arriving at step t (empty steps allowed); never read by a served session"`
 }
 
 // SteinerSpec is the instance data of a steiner session.
 type SteinerSpec struct {
 	Vertices int              `json:"vertices" doc:"vertex count; vertices are 0..vertices-1"`
 	Edges    []Edge           `json:"edges" doc:"the weighted undirected edge list"`
-	Requests []ConnectRequest `json:"requests" doc:"the demand stream, sorted by arrival step"`
+	Requests []ConnectRequest `json:"requests,omitempty" doc:"the demand stream, sorted by arrival step: validated when present, never read by a served session"`
 }
 
 // ReusableSpec is the instance data of a reusable session.
@@ -137,7 +140,11 @@ type ReusableSpec struct {
 // OpenRequest opens one tenant session: the algorithm family, the lease
 // configuration, and (for the instance-based domains) the instance data.
 // Build constructs the session's Leaser deterministically from this
-// spec, so two builds of the same spec replay identically.
+// spec, so two builds of the same spec replay identically. The demand
+// streams of the instance specs (SetCoverSpec.Arrivals, SCLDSpec.Arrivals,
+// FacilitySpec.Batches, SteinerSpec.Requests) are optional: Build
+// validates one when present, but a served Leaser never reads it, so a
+// spec and its WithoutStream form build Leasers that replay identically.
 type OpenRequest struct {
 	Domain   string        `json:"domain" doc:"algorithm family: parking, parking-rand, deadline, setcover, scld, facility, steiner or reusable"`
 	Types    []LeaseType   `json:"types" doc:"the lease configuration, shortest type first"`
@@ -172,10 +179,41 @@ func (r *OpenRequest) config() (*lease.Config, error) {
 	return cfg, nil
 }
 
+// WithoutStream returns the spec without its demand stream: the
+// Arrivals, Batches or Requests of its instance spec are dropped and
+// everything else is kept. This is the form the client sends and a
+// durable server logs, so neither an open nor its log record grows with
+// the stream. r itself is not modified.
+func (r OpenRequest) WithoutStream() OpenRequest {
+	if sp := r.SetCover; sp != nil && sp.Arrivals != nil {
+		c := *sp
+		c.Arrivals = nil
+		r.SetCover = &c
+	}
+	if sp := r.SCLD; sp != nil && sp.Arrivals != nil {
+		c := *sp
+		c.Arrivals = nil
+		r.SCLD = &c
+	}
+	if sp := r.Facility; sp != nil && sp.Batches != nil {
+		c := *sp
+		c.Batches = nil
+		r.Facility = &c
+	}
+	if sp := r.Steiner; sp != nil && sp.Requests != nil {
+		c := *sp
+		c.Requests = nil
+		r.Steiner = &c
+	}
+	return r
+}
+
 // Build constructs the Leaser the spec describes. It is the one
 // spec-to-algorithm mapping shared by the server (serving the session)
 // and any client-side verifier (replaying the reference), so both sides
-// construct bit-identical algorithms.
+// construct bit-identical algorithms. A demand stream in the spec is
+// validated (a malformed one fails the build) and otherwise ignored:
+// the Leaser serves the events it is given.
 func (r *OpenRequest) Build() (stream.Leaser, error) {
 	cfg, err := r.config()
 	if err != nil {

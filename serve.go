@@ -37,7 +37,10 @@ type RemoteClientOptions = client.Options
 // RemoteOpenRequest describes a session to open remotely: the algorithm
 // domain, the lease configuration, a seed for the randomized domains,
 // and the instance spec for the instance-based ones. Construction is
-// deterministic: the same request always builds the same algorithm.
+// deterministic: the same request always builds the same algorithm. An
+// instance spec's demand stream is optional and never read by a served
+// session; RemoteClient.Open sends the request without it
+// (RemoteOpenRequest.WithoutStream).
 type RemoteOpenRequest = wire.OpenRequest
 
 // RemoteLeaseType is one lease type of a RemoteOpenRequest.

@@ -42,6 +42,9 @@ type conformanceCase struct {
 	// fresh constructs a new leaser and a snapshot verifier; rng is a
 	// fresh source seeded with the case's seed.
 	fresh func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error)
+	// spec, for the four domains whose open spec can carry a demand
+	// stream, opens the same leaser as fresh; it carries no stream.
+	spec *wire.OpenRequest
 }
 
 // freshRand is the suite's only random-source constructor: one seeded
@@ -124,9 +127,11 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		t.Fatal(err)
 	}
 	setcover := conformanceCase{
-		name:         "setcover",
-		domain:       wire.DomainSetCover,
-		seed:         7,
+		name:   "setcover",
+		domain: wire.DomainSetCover,
+		seed:   7,
+		spec: &wire.OpenRequest{Domain: wire.DomainSetCover, Types: leasing.WireLeaseTypes(cfg), Seed: 7,
+			SetCover: &wire.SetCoverSpec{Elements: 3, Sets: [][]int{{0, 1}, {1, 2}, {0, 2}}, Costs: scCosts}},
 		events:       leasing.ElementEvents(scArrivals),
 		wrongPayload: leasing.DayEvent(40),
 		fresh: func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
@@ -157,9 +162,11 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		t.Fatal(err)
 	}
 	setcoverAbsorbed := conformanceCase{
-		name:         "setcover-absorbed-cost",
-		domain:       wire.DomainSetCover,
-		seed:         5,
+		name:   "setcover-absorbed-cost",
+		domain: wire.DomainSetCover,
+		seed:   5,
+		spec: &wire.OpenRequest{Domain: wire.DomainSetCover, Types: leasing.WireLeaseTypes(absorbCfg), Seed: 5,
+			SetCover: &wire.SetCoverSpec{Elements: 2, Sets: [][]int{{0}, {1}}, Costs: [][]float64{{1e6}, {1e-11}}}},
 		events:       leasing.ElementEvents(absorbArrivals),
 		wrongPayload: leasing.WindowEvent(40, 1),
 		fresh: func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
@@ -180,11 +187,17 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wsites := make([]wire.Point, len(sites))
+		for i, p := range sites {
+			wsites[i] = wire.Point{X: p.X, Y: p.Y}
+		}
 		return conformanceCase{
 			name:         name,
 			domain:       wire.DomainFacility,
 			events:       leasing.BatchEvents(batches),
 			wrongPayload: wrong,
+			spec: &wire.OpenRequest{Domain: wire.DomainFacility, Types: leasing.WireLeaseTypes(cfg),
+				Facility: &wire.FacilitySpec{Sites: wsites, Costs: costs}},
 			fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
 				lsr, err := leasing.NewFacilityStream(inst)
 				if err != nil {
@@ -258,14 +271,17 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		t.Fatal(err)
 	}
 	scldArrivals := []leasing.SCLDArrival{{T: 0, Elem: 0, D: 3}, {T: 4, Elem: 1, D: 0}, {T: 9, Elem: 0, D: 2}}
-	scldInst, err := leasing.NewSCLDInstance(scldFam, cfg, [][]float64{{1, 2, 4}, {1, 2, 4}}, scldArrivals)
+	scldCosts := [][]float64{{1, 2, 4}, {1, 2, 4}}
+	scldInst, err := leasing.NewSCLDInstance(scldFam, cfg, scldCosts, scldArrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scld := conformanceCase{
-		name:         "scld",
-		domain:       wire.DomainSCLD,
-		seed:         3,
+		name:   "scld",
+		domain: wire.DomainSCLD,
+		seed:   3,
+		spec: &wire.OpenRequest{Domain: wire.DomainSCLD, Types: leasing.WireLeaseTypes(cfg), Seed: 3,
+			SCLD: &wire.SCLDSpec{Elements: 2, Sets: [][]int{{0, 1}, {1}}, Costs: scldCosts}},
 		events:       leasing.ElementWindowEvents(scldArrivals),
 		wrongPayload: leasing.DayEvent(40),
 		fresh: func(t *testing.T, rng *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
@@ -279,10 +295,11 @@ func conformanceCases(t *testing.T) []conformanceCase {
 		},
 	}
 
-	g, err := leasing.NewGraph(4, []leasing.GraphEdge{
+	gEdges := []leasing.GraphEdge{
 		{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1},
 		{U: 2, V: 3, Weight: 2}, {U: 0, V: 3, Weight: 5},
-	})
+	}
+	g, err := leasing.NewGraph(4, gEdges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +308,15 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wedges := make([]wire.Edge, len(gEdges))
+	for i, e := range gEdges {
+		wedges[i] = wire.Edge{U: e.U, V: e.V, W: e.Weight}
+	}
 	steiner := conformanceCase{
-		name:         "steiner",
-		domain:       wire.DomainSteiner,
+		name:   "steiner",
+		domain: wire.DomainSteiner,
+		spec: &wire.OpenRequest{Domain: wire.DomainSteiner, Types: leasing.WireLeaseTypes(cfg),
+			Steiner: &wire.SteinerSpec{Vertices: 4, Edges: wedges}},
 		events:       leasing.ConnectEvents(reqs),
 		wrongPayload: leasing.ElementWindowEvent(40, 0, 1),
 		fresh: func(t *testing.T, _ *rand.Rand) (leasing.Leaser, func(leasing.Solution) error) {
