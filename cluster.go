@@ -38,7 +38,7 @@ func NewClusterRing(peers []string) (*ClusterRing, error) {
 type ClusterShipper = cluster.Shipper
 
 // ClusterShipperOptions shapes a ClusterShipper: auth token, HTTP
-// client, queue depth, batch size and retry policy.
+// client, queue depth, batch size and the pause between retries.
 type ClusterShipperOptions = cluster.ShipperOptions
 
 // ClusterShipperStats samples a ClusterShipper's counters.

@@ -8,7 +8,6 @@
 //	leasebench -experiment E1 [-quick] [-seed 42] [-workers 4]
 //	leasebench -experiment all [-markdown]
 //	leasebench -json [-out BENCH_PR2.json]   # machine-readable report
-//	leasebench -quick -json -gate BENCH_PR2.json [-gate-tolerance 0.15]
 //
 // Committed BENCH_*.json snapshots track the repo's perf trajectory,
 // one per serving boundary, numbered by the PR that introduced them
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"leasing"
-	"leasing/internal/benchgate"
 	"leasing/internal/experiments"
 )
 
@@ -76,14 +74,9 @@ func run(args []string) error {
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON report (tables + timings)")
 		outPath    = fs.String("out", "", "with -json: write the report to this file instead of stdout")
 		list       = fs.Bool("list", false, "list experiments and exit")
-		gatePath   = fs.String("gate", "", "with -json: compare total_ms against this committed BENCH_*.json snapshot (same mode) and fail on slowdown beyond -gate-tolerance")
-		gateTol    = fs.Float64("gate-tolerance", 0.15, "with -gate: allowed fractional slowdown before the gate fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *gatePath != "" && !*jsonOut {
-		return fmt.Errorf("-gate requires -json (the gate compares the machine-readable report)")
 	}
 	if *list {
 		for _, e := range leasing.Experiments() {
@@ -98,20 +91,7 @@ func run(args []string) error {
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Workers: *workers}
 
 	if *jsonOut {
-		report, err := writeJSON(ids, cfg, *outPath)
-		if err != nil {
-			return err
-		}
-		if *gatePath == "" {
-			return nil
-		}
-		measured, ref, err := benchgate.GateReport(report, *gatePath, *gateTol)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("leasebench: gate ok, %s %.1f vs %s %.1f (tolerance %.0f%%)\n",
-			measured.Name, measured.Value, *gatePath, ref.Value, 100**gateTol)
-		return nil
+		return writeJSON(ids, cfg, *outPath)
 	}
 	if *markdown {
 		for _, id := range ids {
@@ -134,9 +114,8 @@ func run(args []string) error {
 	return leasing.RunExperiment(*experiment, lcfg, os.Stdout)
 }
 
-// writeJSON runs the selected experiments, emits the report, and
-// returns it so the caller can gate on it.
-func writeJSON(ids []string, cfg experiments.Config, outPath string) (jsonReport, error) {
+// writeJSON runs the selected experiments and emits the report.
+func writeJSON(ids []string, cfg experiments.Config, outPath string) error {
 	byID := map[string]experiments.Info{}
 	for _, in := range experiments.List() {
 		byID[in.ID] = in
@@ -156,12 +135,12 @@ func writeJSON(ids []string, cfg experiments.Config, outPath string) (jsonReport
 	for _, id := range ids {
 		in, ok := byID[id]
 		if !ok {
-			return jsonReport{}, fmt.Errorf("unknown experiment %q", id)
+			return fmt.Errorf("unknown experiment %q", id)
 		}
 		expStart := time.Now()
 		tb, err := experiments.Run(id, cfg)
 		if err != nil {
-			return jsonReport{}, fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID:        in.ID,
@@ -182,7 +161,7 @@ func writeJSON(ids []string, cfg experiments.Config, outPath string) (jsonReport
 	if outPath != "" {
 		f, err := os.Create(outPath)
 		if err != nil {
-			return jsonReport{}, err
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -190,10 +169,10 @@ func writeJSON(ids []string, cfg experiments.Config, outPath string) (jsonReport
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(report); err != nil {
-		return jsonReport{}, err
+		return err
 	}
 	if outPath != "" {
 		fmt.Printf("leasebench: wrote %s (%d experiments)\n", outPath, len(report.Experiments))
 	}
-	return report, nil
+	return nil
 }

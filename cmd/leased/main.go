@@ -1,10 +1,10 @@
 // Command leased is the network-facing lease service: an HTTP/JSON
 // daemon fronting the sharded multi-tenant engine. Remote tenants open
 // sessions from instance specs (without the demand stream, which a
-// served session never reads), stream demands in (JSON arrays —
-// the trace format cmd/leasegen writes — or NDJSON, or, chosen per
-// request by Content-Type, the compact application/x-lease-binary
-// framing, which the daemon decodes on a pooled zero-allocation path),
+// served session never reads), stream demands in (JSON arrays — the
+// trace format cmd/leasegen writes — or, chosen per request by
+// Content-Type, the compact application/x-lease-binary framing, which
+// the daemon decodes on a pooled zero-allocation path),
 // and read costs, snapshots and recorded runs back as JSON; shard-queue
 // backpressure surfaces as 429s and SIGINT/SIGTERM triggers a graceful
 // drain (stop accepting requests, process everything queued, publish

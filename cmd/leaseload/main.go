@@ -361,8 +361,8 @@ func gateCheck(report jsonReport, gatePath string, tolerance float64, w io.Write
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "gate:    ok, %s %.1f vs %s %.1f (tolerance %.0f%%)\n",
-		measured.Name, measured.Value, gatePath, ref.Value, 100*tolerance)
+	fmt.Fprintf(w, "gate:    ok, events_per_sec %.1f vs %s %.1f (tolerance %.0f%%)\n",
+		measured.Value, gatePath, ref.Value, 100*tolerance)
 	return nil
 }
 

@@ -230,8 +230,9 @@ func TestModeLabels(t *testing.T) {
 	}
 }
 
-// TestDurableBenchReport runs the BENCH_PR5.json pair — the same
-// workload through a WAL-backed engine with fsync off, then on — on a
+// TestDurableBenchReport runs the fsync pair docs/DURABILITY.md names
+// — the same workload through a WAL-backed engine with fsync off, then
+// on — on a
 // small workload: both runs process every event, verify against
 // Replay, and reach the same outcome.
 func TestDurableBenchReport(t *testing.T) {

@@ -4,13 +4,12 @@
 // experiment registry, docs/API.md (the lease service's endpoint
 // reference) from the protocol declarations in internal/wire,
 // docs/DURABILITY.md (the write-ahead log format, recovery semantics
-// and runbook) from internal/wal — quantified from the committed
-// BENCH_PR5.json when present — and docs/CLUSTER.md (tenant placement,
-// log-shipping replication and the failover runbook) from
-// internal/cluster, quantified from the committed BENCH_PR8.json. The
-// docs are generated artifacts — they cannot drift from the code, and
-// -check turns that promise into a CI gate by regenerating all five
-// files in memory and failing when the committed bytes differ.
+// and runbook) from internal/wal, and docs/CLUSTER.md (tenant
+// placement, log-shipping replication and the failover runbook) from
+// internal/cluster. Every document is rendered from the code alone, so
+// none can drift from it, and -check turns that promise into a CI gate
+// by regenerating all five files in memory and failing when the
+// committed bytes differ.
 //
 // Usage:
 //
@@ -81,18 +80,10 @@ func run(args []string) error {
 		if err := checkDoc(apiDocPath, committed[apiDocPath], apiMarkdown(), regen); err != nil {
 			return err
 		}
-		durability, err := durabilityMarkdown(*dir)
-		if err != nil {
+		if err := checkDoc(durabilityDocPath, committed[durabilityDocPath], durabilityMarkdown(), regen); err != nil {
 			return err
 		}
-		if err := checkDoc(durabilityDocPath, committed[durabilityDocPath], durability, regen); err != nil {
-			return err
-		}
-		clusterDoc, err := clusterMarkdown(*dir)
-		if err != nil {
-			return err
-		}
-		if err := checkDoc(clusterDocPath, committed[clusterDocPath], clusterDoc, regen); err != nil {
+		if err := checkDoc(clusterDocPath, committed[clusterDocPath], clusterMarkdown(), regen); err != nil {
 			return err
 		}
 		record, err := experiments.ExperimentsMarkdown(cfg)
@@ -111,14 +102,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	durability, err := durabilityMarkdown(*dir)
-	if err != nil {
-		return err
-	}
-	clusterDoc, err := clusterMarkdown(*dir)
-	if err != nil {
-		return err
-	}
 	docs := []struct {
 		name string
 		want []byte
@@ -126,8 +109,8 @@ func run(args []string) error {
 		{"DESIGN.md", experiments.DesignMarkdown()},
 		{"EXPERIMENTS.md", record},
 		{apiDocPath, apiMarkdown()},
-		{durabilityDocPath, durability},
-		{clusterDocPath, clusterDoc},
+		{durabilityDocPath, durabilityMarkdown()},
+		{clusterDocPath, clusterMarkdown()},
 	}
 	for _, d := range docs {
 		path := filepath.Join(*dir, d.name)
@@ -156,32 +139,22 @@ func apiMarkdown() []byte {
 // relative to -dir.
 const durabilityDocPath = "docs/DURABILITY.md"
 
-// durabilityMarkdown renders docs/DURABILITY.md from internal/wal,
-// quantifying the fsync trade-off from the committed BENCH_PR5.json in
-// dir when present (a missing benchmark renders the unquantified
-// fallback, so fresh checkouts and test dirs still generate).
-func durabilityMarkdown(dir string) ([]byte, error) {
-	bench, err := wal.LoadBenchPair(filepath.Join(dir, "BENCH_PR5.json"))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	return append([]byte(experiments.GeneratedHeader), wal.DurabilityMarkdown(bench)...), nil
+// durabilityMarkdown renders docs/DURABILITY.md: the shared
+// generated-file header followed by the WAL reference generated from
+// internal/wal.
+func durabilityMarkdown() []byte {
+	return append([]byte(experiments.GeneratedHeader), wal.DurabilityMarkdown()...)
 }
 
 // clusterDocPath is where the generated cluster reference lives,
 // relative to -dir.
 const clusterDocPath = "docs/CLUSTER.md"
 
-// clusterMarkdown renders docs/CLUSTER.md from internal/cluster,
-// quantifying node-count scaling from the committed BENCH_PR8.json in
-// dir when present (a missing benchmark renders the unquantified
-// fallback, so fresh checkouts and test dirs still generate).
-func clusterMarkdown(dir string) ([]byte, error) {
-	bench, err := cluster.LoadScalingBench(filepath.Join(dir, "BENCH_PR8.json"))
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	return append([]byte(experiments.GeneratedHeader), cluster.ClusterMarkdown(bench)...), nil
+// clusterMarkdown renders docs/CLUSTER.md: the shared generated-file
+// header followed by the cluster reference generated from
+// internal/cluster.
+func clusterMarkdown() []byte {
+	return append([]byte(experiments.GeneratedHeader), cluster.ClusterMarkdown()...)
 }
 
 // checkDoc compares a committed doc against its regenerated bytes; regen

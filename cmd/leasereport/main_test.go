@@ -70,3 +70,26 @@ func TestCheckMissingDocs(t *testing.T) {
 		t.Errorf("missing-docs error should include the regeneration command, got: %v", err)
 	}
 }
+
+// TestCheckNeedsOnlyTheCode: every generated doc is rendered from the
+// code alone, so the committed docs pass -check from a directory that
+// holds nothing else — no committed BENCH_*.json snapshot in particular.
+func TestCheckNeedsOnlyTheCode(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", apiDocPath, durabilityDocPath, clusterDocPath} {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run([]string{"-check", "-quick", "-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
+}

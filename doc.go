@@ -93,8 +93,8 @@
 // RemoteOpenRequest (an instance spec without its demand stream, which
 // a served session never reads; construction is deterministic, so the
 // same spec and seed always rebuild the same algorithm), stream demands
-// in as JSON arrays or NDJSON, and read costs, snapshots and recorded
-// runs back. Backpressure surfaces as fail-fast 429s that the client
+// in as JSON arrays or binary frames, and read costs, snapshots and
+// recorded runs back. Backpressure surfaces as fail-fast 429s that the client
 // retries transparently, resuming after the server's accepted count. A
 // remote session's result is
 // byte-identical to a local single-threaded Replay. The wire protocol

@@ -267,14 +267,9 @@ func TestAPIDocMatchesWire(t *testing.T) {
 
 // TestDurabilityDocMatchesWal is the same gate for the WAL reference:
 // the committed docs/DURABILITY.md must be byte-identical to the
-// document regenerated from internal/wal and the committed
-// BENCH_PR5.json.
+// document regenerated from internal/wal.
 func TestDurabilityDocMatchesWal(t *testing.T) {
-	bench, err := wal.LoadBenchPair("BENCH_PR5.json")
-	if err != nil {
-		t.Fatalf("BENCH_PR5.json must be committed alongside docs/DURABILITY.md: %v", err)
-	}
-	want := experiments.GeneratedHeader + string(wal.DurabilityMarkdown(bench))
+	want := experiments.GeneratedHeader + string(wal.DurabilityMarkdown())
 	if got := readDoc(t, "docs/DURABILITY.md"); got != want {
 		t.Error("docs/DURABILITY.md drifted from internal/wal; regenerate with: go run ./cmd/leasereport -quick")
 	}
@@ -282,13 +277,9 @@ func TestDurabilityDocMatchesWal(t *testing.T) {
 
 // TestClusterDocMatches is the same gate for the cluster reference:
 // the committed docs/CLUSTER.md must be byte-identical to the document
-// regenerated from internal/cluster and the committed BENCH_PR8.json.
+// regenerated from internal/cluster.
 func TestClusterDocMatches(t *testing.T) {
-	bench, err := cluster.LoadScalingBench("BENCH_PR8.json")
-	if err != nil {
-		t.Fatalf("BENCH_PR8.json must be committed alongside docs/CLUSTER.md: %v", err)
-	}
-	want := experiments.GeneratedHeader + string(cluster.ClusterMarkdown(bench))
+	want := experiments.GeneratedHeader + string(cluster.ClusterMarkdown())
 	if got := readDoc(t, "docs/CLUSTER.md"); got != want {
 		t.Error("docs/CLUSTER.md drifted from internal/cluster; regenerate with: go run ./cmd/leasereport -quick")
 	}
@@ -297,12 +288,14 @@ func TestClusterDocMatches(t *testing.T) {
 // TestClusterDocLinked keeps the cluster reference discoverable (linked
 // from the README, the architecture document and the operator guide)
 // and covering the load-bearing pieces: placement, redirects, the
-// log-shipping delivery contract, and the failover runbook.
+// log-shipping delivery contract, the failover runbook, and the runs
+// that measure what a fleet costs.
 func TestClusterDocLinked(t *testing.T) {
 	doc := readDoc(t, "docs/CLUSTER.md")
 	for _, want := range []string{
 		"307", "replica", "follower", "byte-identical", "prefix",
-		"sticky-fail", "MarkDown", "SubmitResume", "BENCH_PR8.json",
+		"sticky-fail", "MarkDown", "SubmitResume", "BENCH_PR14.json",
+		"-nodes N -wal nosync", "replicated-durable",
 		"OPERATIONS.md", "ARCHITECTURE.md", "DURABILITY.md",
 		"-nodes 3 -wal fsync -kill", "Scaling",
 	} {
@@ -321,12 +314,14 @@ func TestClusterDocLinked(t *testing.T) {
 // linked from the README, the generated DESIGN.md, the architecture
 // document and the operator guide, and covering the load-bearing
 // pieces (record framing, torn-tail truncation, compaction, the
-// crash-recovery runbook and the quantified fsync trade-off).
+// crash-recovery runbook and the runs that measure the fsync
+// trade-off).
 func TestDurabilityDocLinked(t *testing.T) {
 	doc := readDoc(t, "docs/DURABILITY.md")
 	for _, want := range []string{
 		"CRC-32C", "torn", "snapshot", "compaction", "fsync",
-		"group commit", "BENCH_PR5.json", "runbook", "byte-identical",
+		"group commit", "replicated-durable", "-wal fsync", "runbook",
+		"byte-identical",
 		"OPERATIONS.md", "ARCHITECTURE.md",
 	} {
 		if !strings.Contains(doc, want) {

@@ -1,12 +1,12 @@
 // Package benchgate is the perf-regression gate behind the -gate flag
-// of cmd/leaseload and cmd/leasebench: it extracts the headline figure
-// from any committed BENCH_PR*.json snapshot, compares a freshly
-// measured report against it, and fails when the measurement is worse
-// than the snapshot by more than the configured tolerance. Improvements
-// never fail, and a report can only be gated against a snapshot of the
-// same tool and mode. A leaseload mode is a label derived from the run's
-// target, WAL and fault axes, so an in-process run cannot quietly
-// "pass" against a remote or a durable baseline.
+// of cmd/leaseload: it reads a leaseload report's events_per_sec from a
+// committed BENCH_PR*.json snapshot, compares a freshly measured report
+// against it, and fails when the measurement is slower than the
+// snapshot by more than the configured tolerance. Improvements never
+// fail, and a report can only be gated against a snapshot of the same
+// mode. A leaseload mode is a label derived from the run's target, WAL
+// and fault axes, so an in-process run cannot quietly "pass" against a
+// remote or a durable baseline.
 package benchgate
 
 import (
@@ -15,50 +15,31 @@ import (
 	"os"
 )
 
-// Metric is the headline figure of one benchmark report.
+// Metric is the headline figure of one leaseload report: its
+// events_per_sec and the mode it was measured in.
 type Metric struct {
-	// Tool and Mode identify the report schema the figure came from.
-	Tool string
-	Mode string
-	// Name is the JSON path of the compared figure.
-	Name string
-	// Value is the figure itself.
+	Mode  string
 	Value float64
-	// HigherBetter orients the comparison (throughput vs wall-clock).
-	HigherBetter bool
 }
 
-// FromReport extracts the headline metric from a serialized report:
-//
-//	leasebench (any mode)  -> total_ms, lower is better
-//	leaseload (any mode)   -> events_per_sec, higher is better
-//
-// BENCH_PR5.json, which pairs two WAL runs under sections of their own,
-// has no top-level figure and is not a gate reference; docs/DURABILITY.md
-// reads it through wal.LoadBenchPair.
+// FromReport extracts the headline metric from a serialized leaseload
+// report. Any other tool's report is refused.
 func FromReport(raw []byte) (Metric, error) {
 	var doc struct {
 		Tool         string  `json:"tool"`
 		Mode         string  `json:"mode"`
 		EventsPerSec float64 `json:"events_per_sec"`
-		TotalMS      float64 `json:"total_ms"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return Metric{}, fmt.Errorf("benchgate: parse report: %w", err)
 	}
-	m := Metric{Tool: doc.Tool, Mode: doc.Mode}
-	switch {
-	case doc.Tool == "leasebench":
-		m.Name, m.Value, m.HigherBetter = "total_ms", doc.TotalMS, false
-	case doc.Tool == "leaseload":
-		m.Name, m.Value, m.HigherBetter = "events_per_sec", doc.EventsPerSec, true
-	default:
-		return Metric{}, fmt.Errorf("benchgate: unknown report tool %q", doc.Tool)
+	if doc.Tool != "leaseload" {
+		return Metric{}, fmt.Errorf("benchgate: %q report is not a leaseload report", doc.Tool)
 	}
-	if m.Value <= 0 {
-		return Metric{}, fmt.Errorf("benchgate: %s/%s report has no usable %s (got %v)", m.Tool, m.Mode, m.Name, m.Value)
+	if doc.EventsPerSec <= 0 {
+		return Metric{}, fmt.Errorf("benchgate: leaseload/%s report has no usable events_per_sec (got %v)", doc.Mode, doc.EventsPerSec)
 	}
-	return m, nil
+	return Metric{Mode: doc.Mode, Value: doc.EventsPerSec}, nil
 }
 
 // Load reads a committed snapshot and extracts its headline metric.
@@ -74,10 +55,9 @@ func Load(path string) (Metric, error) {
 	return m, nil
 }
 
-// GateReport is the one-call form both load tools use: marshal the
-// freshly built report, load the committed snapshot at refPath, and
-// Check. The two extracted metrics come back for the caller's success
-// message.
+// GateReport is the one-call form leaseload uses: marshal the freshly
+// built report, load the committed snapshot at refPath, and Check. The
+// two extracted metrics come back for the caller's success message.
 func GateReport(report any, refPath string, tolerance float64) (measured, reference Metric, err error) {
 	raw, err := json.Marshal(report)
 	if err != nil {
@@ -92,25 +72,20 @@ func GateReport(report any, refPath string, tolerance float64) (measured, refere
 	return measured, reference, Check(measured, reference, tolerance)
 }
 
-// Check fails when measured regressed past the reference by more than
-// tolerance (a fraction: 0.15 allows a 15% regression). The two metrics
-// must come from the same tool and mode.
+// Check fails when measured fell below the reference by more than
+// tolerance (a fraction: 0.15 allows a 15% drop). The two metrics must
+// come from the same mode.
 func Check(measured, reference Metric, tolerance float64) error {
 	if tolerance <= 0 || tolerance >= 1 {
 		return fmt.Errorf("benchgate: tolerance must be in (0,1), got %v", tolerance)
 	}
-	if measured.Tool != reference.Tool || measured.Mode != reference.Mode {
-		return fmt.Errorf("benchgate: measured %s/%s cannot be gated against reference %s/%s",
-			measured.Tool, measured.Mode, reference.Tool, reference.Mode)
+	if measured.Mode != reference.Mode {
+		return fmt.Errorf("benchgate: measured mode %s cannot be gated against reference mode %s",
+			measured.Mode, reference.Mode)
 	}
-	change := measured.Value/reference.Value - 1
-	regressed := change < -tolerance
-	if !reference.HigherBetter {
-		regressed = change > tolerance
-	}
-	if regressed {
-		return fmt.Errorf("benchgate: %s regressed %.1f%% past the %.0f%% tolerance (measured %.1f, reference %.1f)",
-			measured.Name, 100*change, 100*tolerance, measured.Value, reference.Value)
+	if change := measured.Value/reference.Value - 1; change < -tolerance {
+		return fmt.Errorf("benchgate: events_per_sec regressed %.1f%% past the %.0f%% tolerance (measured %.1f, reference %.1f)",
+			100*change, 100*tolerance, measured.Value, reference.Value)
 	}
 	return nil
 }

@@ -44,8 +44,8 @@ type Options struct {
 	// gives up. Default 20.
 	MaxRetries int
 	// Binary switches the submit framing to binary
-	// (wire.ContentTypeBinary): Submit and SubmitNDJSON encode events as
-	// length-prefixed binary frames into pooled buffers. Every other
+	// (wire.ContentTypeBinary): Submit encodes events as length-prefixed
+	// binary frames into pooled buffers. Every other
 	// endpoint, Result included, stays JSON. The server decodes identical
 	// events either way — the binary encoding is exact — so Binary is
 	// purely a throughput knob.
@@ -248,49 +248,6 @@ func acceptedOf(err error) int {
 		return apiErr.Accepted
 	}
 	return 0
-}
-
-// SubmitNDJSON streams the events as one chunked request — one
-// application/x-ndjson line per event, or under Options.Binary one
-// binary frame per Options.Chunk events (the framed equivalent of the
-// line-per-event stream). Unlike Submit it does not retry: on
-// backpressure the wire error's Accepted count says where to resume.
-func (c *Client) SubmitNDJSON(ctx context.Context, tenant string, evs []wire.Event) (int, error) {
-	var resp wire.SubmitResponse
-	if c.opts.Binary {
-		bodyp := c.buf()
-		defer c.bufs.Put(bodyp)
-		framep := c.buf()
-		defer c.bufs.Put(framep)
-		body := append((*bodyp)[:0], wire.BinaryMagic...)
-		for lo := 0; lo < len(evs); lo += c.opts.Chunk {
-			payload, err := wire.AppendEventsBinaryWire((*framep)[:0], evs[lo:min(lo+c.opts.Chunk, len(evs))])
-			*framep = payload
-			if err != nil {
-				return 0, err
-			}
-			body = wire.AppendFrame(body, payload)
-		}
-		*bodyp = body
-		err := c.do(ctx, http.MethodPost, tenantPath(tenant, "/events"),
-			wire.ContentTypeBinary, bytes.NewReader(body), &resp)
-		if err != nil {
-			return acceptedOf(err), err
-		}
-		return resp.Accepted, nil
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
-			return 0, err
-		}
-	}
-	err := c.do(ctx, http.MethodPost, tenantPath(tenant, "/events"), "application/x-ndjson", &buf, &resp)
-	if err != nil {
-		return acceptedOf(err), err
-	}
-	return resp.Accepted, nil
 }
 
 // Flush blocks until every event submitted before the call (any tenant)

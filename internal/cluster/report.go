@@ -2,57 +2,20 @@ package cluster
 
 // The generated cluster reference. docs/CLUSTER.md is rendered from
 // this package by cmd/leasereport — the placement section quotes the
-// same constants the ring hashes with, and the scaling section is
-// quantified from the committed BENCH_PR8.json — so the document
-// cannot drift from the implementation.
+// same constants the ring hashes with — so the document cannot drift
+// from the implementation.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 )
-
-// ScalingFleet is one cluster size's measurement inside the committed
-// BENCH_PR8.json; `leaseload -nodes N -wal nosync` reproduces each.
-type ScalingFleet struct {
-	Nodes           int     `json:"nodes"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	SpeedupVsSingle float64 `json:"speedup_vs_single"`
-	ShippedRecords  int64   `json:"shipped_records"`
-}
-
-// ScalingBench is the committed cluster scaling benchmark
-// ClusterMarkdown quantifies the scaling section from.
-type ScalingBench struct {
-	Tenants           int            `json:"tenants"`
-	TotalEvents       int64          `json:"total_events"`
-	ScalingEfficiency float64        `json:"scaling_efficiency"`
-	Fleets            []ScalingFleet `json:"fleets"`
-}
-
-// LoadScalingBench reads a committed BENCH_PR8.json. It is shared by
-// cmd/leasereport and the docs drift tests so both quantify the
-// generated document from the same bytes.
-func LoadScalingBench(path string) (*ScalingBench, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s ScalingBench
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
-	}
-	return &s, nil
-}
 
 // ClusterMarkdown renders the body of docs/CLUSTER.md: tenant
 // placement (from this package's ring constants), request routing,
 // the log-shipping replication contract, the failover runbook, and the
-// node-count scaling measurements (quantified from bench when
-// non-nil). The output is a pure function of (this package, bench),
-// which is what lets `leasereport -check` gate drift.
-func ClusterMarkdown(bench *ScalingBench) []byte {
+// runs that measure what a fleet costs. The output is a pure function
+// of this package, which is what lets `leasereport -check` gate drift.
+func ClusterMarkdown() []byte {
 	var b bytes.Buffer
 	b.WriteString(`# Clustering — placement, replication and failover
 
@@ -184,39 +147,30 @@ node does not flood its peers with history they already hold.
 
 ## Scaling
 
-`)
-	if bench != nil {
-		fmt.Fprintf(&b, `The committed [BENCH_PR8.json](../BENCH_PR8.json) (%d mixed-domain
-tenants, %d events, every node durable and shipping; each row is
-reproduced by `+"`leaseload -nodes N -wal nosync`"+`) measures ingestion
-throughput against cluster size on the baseline hardware:
+This document quotes no throughput figure, because a figure measured
+once goes stale as the code changes. Three runs measure what a fleet
+costs today:
 
-| Nodes | Throughput | Speedup | Shipped records |
-| --- | --- | --- | --- |
-`, bench.Tenants, bench.TotalEvents)
-		for _, f := range bench.Fleets {
-			fmt.Fprintf(&b, "| %d | %.0f events/s | %.2fx | %d |\n",
-				f.Nodes, f.EventsPerSec, f.SpeedupVsSingle, f.ShippedRecords)
-		}
-		fmt.Fprintf(&b, `
-Scaling efficiency — the largest fleet's speedup over one node,
-divided by its node count — is **%.2f**. Read it as a cost floor, not
-a capacity ceiling: the bench co-locates every fleet on one host, so
-the nodes split the same cores and the speedup column isolates what
-replication itself costs (ship, follower append, redirect-free
-routing) rather than what added hardware buys. Two further caveats
-carry over to real fleets: placement spreads tenants, not events — a
-workload whose tenants differ in volume scales by the load of the
-busiest node's tenants — and every shipped record is a second append,
-so a fleet buys capacity only when nodes stop sharing spindles and
-cores.
-`, bench.ScalingEfficiency)
-	} else {
-		b.WriteString(`No committed BENCH_PR8.json was found next to this document, so the
-scaling trade-off is not quantified here; restore it from version
-control (` + "`go run ./cmd/leaseload -nodes N -wal nosync -json`" + ` measures
-one of its fleets) and then regenerate this document.
+- ` + "`leaseload -nodes N -wal nosync`" + ` runs one fixed mixed-domain
+  workload through N loopback nodes, every node durable and, from two
+  nodes up, shipping; compare its ` + "`events_per_sec`" + ` across N;
+- CI's perf gate runs the 4-node form against the committed
+  [BENCH_PR14.json](../BENCH_PR14.json) and fails on a regression
+  beyond its tolerance;
+- servebench's ` + "`replicated-durable`" + ` workload serves two fsync-on
+  nodes with WAL shipping and ring routing; its traced run reports the
+  shipping stages (` + "`cluster.ship_ms_p50`" + `, ` + "`cluster.records_per_ship`" + `,
+  ` + "`cluster.follower_append_ms_p50`" + `).
+
+Read any such figure as a cost floor, not a capacity ceiling: these
+runs co-locate every node on one host, so the nodes split the same
+cores and a larger fleet's figure isolates what replication itself
+costs (ship, follower append, redirect-free routing) rather than what
+added hardware buys. Two further caveats carry over to real fleets:
+placement spreads tenants, not events — a workload whose tenants
+differ in volume scales by the load of the busiest node's tenants —
+and every shipped record is a second append, so a fleet buys capacity
+only when nodes stop sharing spindles and cores.
 `)
-	}
 	return b.Bytes()
 }

@@ -32,6 +32,10 @@ import (
 	"leasing/internal/wire"
 )
 
+// shipRetries is how many times a batch with a structured error
+// response is resumed before the peer is failed.
+const shipRetries = 3
+
 // ShipperOptions shapes a Shipper.
 type ShipperOptions struct {
 	// Token is sent as the bearer token when non-empty (the replicate
@@ -44,10 +48,8 @@ type ShipperOptions struct {
 	QueueDepth int
 	// BatchRecords caps records per replicate request. Default 256.
 	BatchRecords int
-	// Retries is how many times a batch with a structured error response
-	// is resumed before the peer is failed. Default 3.
-	Retries int
-	// RetryWait is the pause between those resumptions. Default 50ms.
+	// RetryWait is the pause between the resumptions of a batch with a
+	// structured error response (see shipRetries). Default 50ms.
 	RetryWait time.Duration
 }
 
@@ -60,9 +62,6 @@ func (o ShipperOptions) withDefaults() ShipperOptions {
 	}
 	if o.BatchRecords < 1 {
 		o.BatchRecords = 256
-	}
-	if o.Retries < 1 {
-		o.Retries = 3
 	}
 	if o.RetryWait <= 0 {
 		o.RetryWait = 50 * time.Millisecond
@@ -258,7 +257,7 @@ func (s *Shipper) send(q *peerQueue, batch []shipRec) {
 		return
 	}
 	offset := 0
-	for attempt := 0; attempt <= s.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= shipRetries; attempt++ {
 		applied, err := s.post(q.url, batch[offset:])
 		offset += applied
 		s.count(&s.shipped, int64(applied))

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -60,14 +59,15 @@ func replayWant(t *testing.T, tc remoteCase) (spec, facade string) {
 }
 
 // TestRemoteParityBinary drives all eight domains through the binary
-// submit framing — alternating the array-equivalent single-frame path
-// (Submit) and the chunked multi-frame path (SubmitNDJSON) — and holds
-// each binary-negotiated Result to byte-identity with Replay.
+// submit framing — alternating the client's one-frame requests (Submit)
+// and bodies of several frames (submitFrames) — and holds each
+// binary-negotiated Result to byte-identity with Replay.
 func TestRemoteParityBinary(t *testing.T) {
 	cases := remoteCases(t)
 	ts, shutdown := binaryParityServer(t)
 	defer shutdown()
-	cli := client.New(ts.URL, client.Options{Chunk: 5, Binary: true})
+	const chunk = 5
+	cli := client.New(ts.URL, client.Options{Chunk: chunk, Binary: true})
 	ctx := context.Background()
 
 	for _, tc := range cases {
@@ -85,9 +85,7 @@ func TestRemoteParityBinary(t *testing.T) {
 				t.Fatalf("%s: binary submit: %v", tc.name, err)
 			}
 		} else {
-			if err := submitChunked(ctx, cli, tc.name, wevs); err != nil {
-				t.Fatalf("%s: binary chunked submit: %v", tc.name, err)
-			}
+			submitFrames(ctx, t, ts, cli, tc.name, wevs, chunk)
 		}
 	}
 	if err := cli.Flush(ctx, cases[0].name); err != nil {
@@ -119,28 +117,38 @@ func TestRemoteParityBinary(t *testing.T) {
 	}
 }
 
-// submitChunked drives SubmitNDJSON by its contract: the call does not
-// retry, so on backpressure it flushes and resubmits the events after
-// the accepted count. Three attempts in a row that accept nothing fail
-// at once, so a server stuck on backpressure cannot hang the test.
-func submitChunked(ctx context.Context, cli *client.Client, tenant string, wevs []wire.Event) error {
+// submitFrames posts the events as one binary body of several frames,
+// one per chunk events, which the server decodes and enqueues frame by
+// frame. A single request does not retry, so on backpressure it
+// flushes and reposts the events after the accepted count. Three
+// attempts in a row that accept nothing fail at once, so a server stuck
+// on backpressure cannot hang the test.
+func submitFrames(ctx context.Context, t *testing.T, ts *httptest.Server, cli *client.Client, tenant string, wevs []wire.Event, chunk int) {
+	t.Helper()
 	for stalls := 0; ; {
-		n, err := cli.SubmitNDJSON(ctx, tenant, wevs)
-		if err == nil && n == len(wevs) {
-			return nil
+		body := []byte(wire.BinaryMagic)
+		for lo := 0; lo < len(wevs); lo += chunk {
+			payload, err := wire.AppendEventsBinaryWire(nil, wevs[lo:min(lo+chunk, len(wevs))])
+			if err != nil {
+				t.Fatalf("%s: encode frame: %v", tenant, err)
+			}
+			body = wire.AppendFrame(body, payload)
 		}
-		var apiErr *wire.Error
-		if err == nil || !errors.As(err, &apiErr) || apiErr.Code != wire.CodeBackpressure {
-			return fmt.Errorf("accepted %d of %d, err %v", n, len(wevs), err)
+		_, apiErr := postBinary(t, ts, tenant, body)
+		if apiErr == nil {
+			return
 		}
-		if n > 0 {
+		if apiErr.Code != wire.CodeBackpressure {
+			t.Fatalf("%s: multi-frame submit: accepted %d of %d: %v", tenant, apiErr.Accepted, len(wevs), apiErr)
+		}
+		if apiErr.Accepted > 0 {
 			stalls = 0
 		} else if stalls++; stalls == 3 {
-			return fmt.Errorf("%d attempts in a row accepted 0 events: %w", stalls, err)
+			t.Fatalf("%s: %d attempts in a row accepted 0 events: %v", tenant, stalls, apiErr)
 		}
-		wevs = wevs[n:]
+		wevs = wevs[apiErr.Accepted:]
 		if err := cli.Flush(ctx, tenant); err != nil {
-			return err
+			t.Fatal(err)
 		}
 	}
 }

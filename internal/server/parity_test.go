@@ -303,21 +303,13 @@ func TestRemoteParityWithReplay(t *testing.T) {
 			t.Fatalf("%s: open: %v", tc.name, err)
 		}
 	}
-	for i, tc := range cases {
+	for _, tc := range cases {
 		wevs, err := wire.FromStreamEvents(tc.events)
 		if err != nil {
 			t.Fatalf("%s: wire events: %v", tc.name, err)
 		}
-		// Alternate array submits and NDJSON streaming so both
-		// ingestion paths feed the parity check.
-		if i%2 == 0 {
-			if _, err := cli.Submit(ctx, tc.name, wevs); err != nil {
-				t.Fatalf("%s: submit: %v", tc.name, err)
-			}
-		} else {
-			if _, err := cli.SubmitNDJSON(ctx, tc.name, wevs); err != nil {
-				t.Fatalf("%s: submit ndjson: %v", tc.name, err)
-			}
+		if _, err := cli.Submit(ctx, tc.name, wevs); err != nil {
+			t.Fatalf("%s: submit: %v", tc.name, err)
 		}
 	}
 	if err := cli.Flush(ctx, cases[0].name); err != nil {

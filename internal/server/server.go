@@ -2,8 +2,8 @@
 // multi-tenant engine: it routes the endpoints declared in
 // internal/wire, translates engine errors into the wire error codes,
 // maps shard-queue backpressure to fail-fast 429s, scopes requests with
-// per-tenant bearer tokens, and streams NDJSON event ingestion in
-// bounded chunks. The handler is stateless beyond the engine it fronts,
+// per-tenant bearer tokens, and enqueues submitted events in bounded
+// chunks. The handler is stateless beyond the engine it fronts,
 // so graceful shutdown is the composition of http.Server.Shutdown
 // (stop accepting requests) and Engine.Close (drain queued work) — the
 // order cmd/leased performs on SIGINT/SIGTERM.
@@ -34,11 +34,9 @@ type Config struct {
 	// tenant plus admin-only endpoints). With an empty map every request
 	// is allowed.
 	Tokens map[string]string
-	// ChunkSize caps how many events one engine enqueue carries when the
-	// submit body streams in (NDJSON) or exceeds the chunk. Default 512.
+	// ChunkSize caps how many events one engine enqueue carries when a
+	// submit body holds more. Default 512.
 	ChunkSize int
-	// MaxBodyBytes caps request body size. Default 64 MiB.
-	MaxBodyBytes int64
 	// Builder constructs a session's Leaser from an open spec; defaults
 	// to the spec's own Build. Tests substitute failing builders.
 	Builder func(*wire.OpenRequest) (stream.Leaser, error)
@@ -57,9 +55,6 @@ func (c Config) withDefaults() Config {
 	if c.ChunkSize < 1 {
 		c.ChunkSize = 512
 	}
-	if c.MaxBodyBytes < 1 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.Builder == nil {
 		c.Builder = func(r *wire.OpenRequest) (stream.Leaser, error) { return r.Build() }
 	}
@@ -69,6 +64,9 @@ func (c Config) withDefaults() Config {
 // AdminScope is the Tokens value granting access to every tenant and to
 // admin-only endpoints.
 const AdminScope = "*"
+
+// maxBodyBytes caps every request body.
+const maxBodyBytes = 64 << 20
 
 // Server is the http.Handler of the lease service. Create one with New;
 // it serves the endpoints declared by wire.Endpoints over the engine it
@@ -155,7 +153,7 @@ func New(eng *engine.Engine, cfg Config) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -263,35 +261,20 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, wire.OpenResponse{Tenant: tenant, Domain: req.Domain})
 }
 
-// handleSubmit ingests events: a JSON array by default, one event per
-// line with Content-Type application/x-ndjson, or length-prefixed
-// binary frames with Content-Type application/x-lease-binary — the
-// zero-alloc path, decoding straight into pooled stream.Event batches.
-// All three enqueue in ChunkSize chunks while the body streams in, and
-// backpressure fails fast with the accepted count so callers can resume
-// precisely.
+// handleSubmit ingests events: a JSON array (the leasegen trace
+// format) by default, or length-prefixed binary frames with
+// Content-Type application/x-lease-binary — the zero-alloc path,
+// decoding straight into pooled stream.Event batches as the body
+// streams in. Both enqueue in ChunkSize chunks, and backpressure fails
+// fast with the accepted count so callers can resume precisely.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.PathValue("tenant")
 	accepted := 0
-	push := func(chunk []stream.Event) error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		if err := s.eng.TrySubmitBatch(tenant, chunk); err != nil {
-			return err
-		}
-		accepted += len(chunk)
-		return nil
-	}
-
 	var err error
-	switch mediaType(r) {
-	case "application/x-ndjson":
-		err = s.submitNDJSON(r.Body, push)
-	case wire.ContentTypeBinary:
+	if mediaType(r) == wire.ContentTypeBinary {
 		err = s.submitBinary(r.Body, tenant, &accepted)
-	default:
-		err = s.submitArray(r.Body, push)
+	} else {
+		err = s.submitArray(r.Body, tenant, &accepted)
 	}
 	if err != nil {
 		var badReq *badRequestError
@@ -317,7 +300,9 @@ func mediaType(r *http.Request) string {
 	return strings.TrimSpace(strings.ToLower(ct))
 }
 
-func (s *Server) submitArray(body io.Reader, push func([]stream.Event) error) error {
+// submitArray ingests a JSON array submit body, enqueued in ChunkSize
+// chunks once the whole array has decoded.
+func (s *Server) submitArray(body io.Reader, tenant string, accepted *int) error {
 	// ReadEvents fails a within-request time regression before anything
 	// is enqueued. (A regression relative to an earlier request is only
 	// seen by the shard and surfaces as an asynchronous session
@@ -328,55 +313,13 @@ func (s *Server) submitArray(body io.Reader, push func([]stream.Event) error) er
 	}
 	for len(evs) > 0 {
 		n := min(s.cfg.ChunkSize, len(evs))
-		if err := push(evs[:n:n]); err != nil {
+		if err := s.eng.TrySubmitBatch(tenant, evs[:n:n]); err != nil {
 			return err
 		}
+		*accepted += n
 		evs = evs[n:]
 	}
 	return nil
-}
-
-func (s *Server) submitNDJSON(body io.Reader, push func([]stream.Event) error) error {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	chunk := make([]stream.Event, 0, s.cfg.ChunkSize)
-	line, seen := 0, 0
-	var last int64
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
-		var wev wire.Event
-		if err := json.Unmarshal([]byte(raw), &wev); err != nil {
-			return &badRequestError{fmt.Sprintf("ndjson line %d: %v", line, err)}
-		}
-		ev, err := wev.Stream()
-		if err != nil {
-			return &badRequestError{fmt.Sprintf("ndjson line %d: %v", line, err)}
-		}
-		// Same within-request order check as the array path; prior
-		// chunks of this request may already be enqueued, so the error
-		// reports the accepted count for precise resumption.
-		if seen > 0 && ev.Time < last {
-			return &badRequestError{fmt.Sprintf(
-				"ndjson line %d: event time %d precedes %d", line, ev.Time, last)}
-		}
-		last = ev.Time
-		seen++
-		chunk = append(chunk, ev)
-		if len(chunk) == s.cfg.ChunkSize {
-			if err := push(chunk); err != nil {
-				return err
-			}
-			chunk = make([]stream.Event, 0, s.cfg.ChunkSize)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return &badRequestError{"read ndjson body: " + err.Error()}
-	}
-	return push(chunk)
 }
 
 // submitBinary ingests a binary submit body: its frames are decoded
@@ -398,7 +341,7 @@ func (s *Server) submitBinary(body io.Reader, tenant string, accepted *int) erro
 				s.batches.Put(eb)
 				return &badRequestError{err.Error()}
 			}
-			// Same within-request order check as the JSON paths; prior
+			// Same within-request order check as the array path; prior
 			// chunks may already be enqueued, so the error carries the
 			// accepted count for precise resumption.
 			for _, ev := range eb.Events {

@@ -181,14 +181,6 @@ func NewInstance(fam *Family, cfg *lease.Config, costs [][]float64, arrivals []w
 	return &Instance{Fam: fam, Cfg: cfg, Costs: costs, Arrivals: arrivals, Scope: scope}, nil
 }
 
-// Horizon returns one past the last arrival time (0 for an empty stream).
-func (in *Instance) Horizon() int64 {
-	if len(in.Arrivals) == 0 {
-		return 0
-	}
-	return in.Arrivals[len(in.Arrivals)-1].T + 1
-}
-
 // Candidates appends to dst the candidate triples of a demand (element e
 // at time t): for every set containing e and every lease type, the
 // aligned lease covering t. Sets listed in exclude are skipped.

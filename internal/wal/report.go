@@ -2,59 +2,23 @@ package wal
 
 // The generated durability reference. docs/DURABILITY.md is rendered
 // from this package by cmd/leasereport — the record format section comes
-// from the same constants and record structs the log writes, and the
-// fsync trade-off section is quantified from the committed
-// BENCH_PR5.json — so the document cannot drift from the implementation.
+// from the same constants and record structs the log writes — so the
+// document cannot drift from the implementation.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 )
 
-// FsyncBench summarizes one leaseload durable-engine run, the half of a
-// BenchPair DurabilityMarkdown quantifies the fsync trade-off from.
-type FsyncBench struct {
-	EventsPerSec float64 `json:"events_per_sec"`
-	Latency      struct {
-		P50 float64 `json:"p50"`
-		P99 float64 `json:"p99"`
-	} `json:"submit_latency_us"`
-}
-
-// BenchPair is the committed fsync-on/off throughput pair of
-// BENCH_PR5.json: the `leaseload -wal nosync` and `-wal fsync` runs of
-// one workload.
-type BenchPair struct {
-	On  FsyncBench `json:"fsync_on"`
-	Off FsyncBench `json:"fsync_off"`
-}
-
-// LoadBenchPair reads a committed BENCH_PR5.json. It is shared by
-// cmd/leasereport and the docs drift tests so both quantify the
-// generated document from the same bytes.
-func LoadBenchPair(path string) (*BenchPair, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p BenchPair
-	if err := json.Unmarshal(b, &p); err != nil {
-		return nil, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	return &p, nil
-}
-
 // DurabilityMarkdown renders the body of docs/DURABILITY.md: the WAL
 // record format (from this package's constants and record structs),
-// recovery semantics, the fsync/throughput trade-off (quantified from
-// bench when non-nil), and the crash-recovery runbook. The output is a
-// pure function of (this package, bench), which is what lets
-// `leasereport -check` gate drift.
-func DurabilityMarkdown(bench *BenchPair) []byte {
+// recovery semantics, the fsync/throughput trade-off and the runs that
+// measure it, and the crash-recovery runbook. The output is a pure
+// function of this package, which is what lets `leasereport -check`
+// gate drift.
+func DurabilityMarkdown() []byte {
 	var b bytes.Buffer
 	b.WriteString(`# Durability — the write-ahead log and crash recovery
 
@@ -249,30 +213,19 @@ Without ` + "`-fsync`" + `, appends still go straight to the file — acknowledg
 events survive a SIGKILL of the process — but an OS crash can lose the
 page-cache suffix.
 
-`)
-	if bench != nil {
-		fmt.Fprintf(&b, `The committed [BENCH_PR5.json](../BENCH_PR5.json)
-(`+"`leaseload -wal nosync`"+` and `+"`-wal fsync`"+`, mixed-domain tenants through
-a WAL-backed engine) quantifies the trade-off on the baseline hardware:
+This document quotes no throughput figure, because a figure measured
+once goes stale as the code changes. Two runs measure the trade-off
+today:
 
-| WAL mode | Throughput | Submit p50 | Submit p99 |
-| --- | --- | --- | --- |
-| fsync off | %.0f events/s | %.1f µs | %.1f µs |
-| fsync on (group commit) | %.0f events/s | %.1f µs | %.1f µs |
+- servebench's ` + "`replicated-durable`" + ` workload serves two fsync-on
+  nodes with WAL shipping; its traced run reports the WAL's append
+  latency (` + "`wal.append_ms_p50`" + `, ` + "`wal.append_ms_p99`" + `) and how many
+  appends share one fsync (` + "`wal.syncs_per_append`" + `);
+- ` + "`leaseload -wal nosync`" + ` and ` + "`leaseload -wal fsync`" + ` run one fixed
+  workload through a WAL-backed in-process engine with fsync off and
+  on; their ` + "`events_per_sec`" + ` figures are the pair to compare.
 
-`, bench.Off.EventsPerSec, bench.Off.Latency.P50, bench.Off.Latency.P99,
-			bench.On.EventsPerSec, bench.On.Latency.P50, bench.On.Latency.P99)
-	} else {
-		b.WriteString(`No committed BENCH_PR5.json was found next to this document, so the
-trade-off is not quantified here; regenerate it with
-` + "`go run ./cmd/leaseload -wal nosync -json`" + ` and
-` + "`-wal fsync -json`" + `, combine the two reports as the ` + "`fsync_off`" + ` and
-` + "`fsync_on`" + ` halves of BENCH_PR5.json, and then regenerate this document.
-
-`)
-	}
-
-	b.WriteString(`## Crash-recovery runbook
+## Crash-recovery runbook
 
 1. **The daemon died (crash, OOM, SIGKILL).** Restart it with the same
    ` + "`-data-dir`" + `. It logs how many sessions and events it recovered; a

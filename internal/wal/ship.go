@@ -10,11 +10,13 @@ package wal
 // failover time without reopening it.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 
 	"leasing/internal/stream"
+	"leasing/internal/wire"
 )
 
 // ErrBadRecord marks a record whose encoding fails validation — a
@@ -22,8 +24,8 @@ import (
 var ErrBadRecord = errors.New("wal: bad record")
 
 // EncodeOpenRecord encodes a KindOpen payload: the tenant and the spec
-// that deterministically rebuilds its algorithm. The bytes are exactly
-// what LogOpen appends.
+// that deterministically rebuilds its algorithm. LogOpen and Compact
+// append exactly these bytes.
 func EncodeOpenRecord(tenant string, spec []byte) ([]byte, error) {
 	payload, err := json.Marshal(OpenRecord{Tenant: tenant, Spec: json.RawMessage(spec)})
 	if err != nil {
@@ -44,10 +46,16 @@ func EncodeCloseRecord(tenant string) ([]byte, error) {
 
 // AppendEventsRecord appends a KindEventsBinary payload (uvarint tenant
 // length, tenant bytes, then the binary event framing) to dst — the
-// bytes LogEvents appends, exposed so a replication layer can encode
-// once and both append and ship the same record.
+// bytes LogEvents and Compact append, exposed so a replication layer
+// can encode once and both append and ship the same record.
 func AppendEventsRecord(dst []byte, tenant string, evs []stream.Event) ([]byte, error) {
-	return appendEventsBinaryRecord(dst, tenant, evs)
+	dst = binary.AppendUvarint(dst, uint64(len(tenant)))
+	dst = append(dst, tenant...)
+	dst, err := wire.AppendEventsBinary(dst, evs)
+	if err != nil {
+		return dst, fmt.Errorf("wal: %w", err)
+	}
+	return dst, nil
 }
 
 // RecordTenant extracts the tenant a record belongs to. KindOpen and

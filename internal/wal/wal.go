@@ -579,15 +579,6 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// append marshals payload to JSON and writes it as one record.
-func (l *Log) append(kind byte, payload any) error {
-	js, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return l.appendRaw(kind, js)
-}
-
 // appendRaw frames and writes one record from already-encoded payload
 // bytes, rotating and group-committing as configured. The record is
 // durable (to the file; to disk under Fsync) when appendRaw returns nil
@@ -712,7 +703,11 @@ func (l *Log) rotate() error {
 // LogOpen appends a session-open record: the tenant and the spec that
 // deterministically rebuilds its algorithm.
 func (l *Log) LogOpen(tenant string, spec []byte) error {
-	return l.append(KindOpen, OpenRecord{Tenant: tenant, Spec: json.RawMessage(spec)})
+	payload, err := EncodeOpenRecord(tenant, spec)
+	if err != nil {
+		return err
+	}
+	return l.appendRaw(KindOpen, payload)
 }
 
 // LogEvents appends one acknowledged event batch as a binary events
@@ -725,20 +720,12 @@ func (l *Log) LogEvents(tenant string, evs []stream.Event) error {
 		bufp = new([]byte)
 	}
 	defer l.encBufs.Put(bufp)
-	payload, err := appendEventsBinaryRecord((*bufp)[:0], tenant, evs)
+	payload, err := AppendEventsRecord((*bufp)[:0], tenant, evs)
 	*bufp = payload
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	return l.appendRaw(KindEventsBinary, payload)
-}
-
-// appendEventsBinaryRecord appends a KindEventsBinary payload — uvarint
-// tenant length, tenant bytes, then the binary event frame payload.
-func appendEventsBinaryRecord(dst []byte, tenant string, evs []stream.Event) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(tenant)))
-	dst = append(dst, tenant...)
-	return wire.AppendEventsBinary(dst, evs)
 }
 
 // splitTenantPayload splits a KindEventsBinary payload into its tenant
@@ -753,7 +740,11 @@ func splitTenantPayload(payload []byte) (string, []byte, error) {
 
 // LogClose appends a session-close record.
 func (l *Log) LogClose(tenant string) error {
-	return l.append(KindClose, CloseRecord{Tenant: tenant})
+	payload, err := EncodeCloseRecord(tenant)
+	if err != nil {
+		return err
+	}
+	return l.appendRaw(KindClose, payload)
 }
 
 // compactChunk caps events per consolidated record so snapshot records
@@ -800,13 +791,6 @@ func (l *Log) Compact() error {
 		}
 		return nil
 	}
-	write := func(kind byte, payload any) error {
-		js, err := json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		return writeRaw(kind, js)
-	}
 	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
@@ -819,14 +803,18 @@ func (l *Log) Compact() error {
 		if s.Closed {
 			continue // close is the retention boundary
 		}
-		if err := write(KindOpen, OpenRecord{Tenant: s.Tenant, Spec: json.RawMessage(s.Spec)}); err != nil {
+		open, err := EncodeOpenRecord(s.Tenant, s.Spec)
+		if err != nil {
+			return fail(err)
+		}
+		if err := writeRaw(KindOpen, open); err != nil {
 			return fail(err)
 		}
 		for lo := 0; lo < len(s.Events); lo += compactChunk {
 			hi := min(lo+compactChunk, len(s.Events))
-			body, err := appendEventsBinaryRecord(nil, s.Tenant, s.Events[lo:hi])
+			body, err := AppendEventsRecord(nil, s.Tenant, s.Events[lo:hi])
 			if err != nil {
-				return fail(fmt.Errorf("wal: %w", err))
+				return fail(err)
 			}
 			if err := writeRaw(KindEventsBinary, body); err != nil {
 				return fail(err)

@@ -324,7 +324,7 @@ func TestTornTail(t *testing.T) {
 func TestTornTailBinaryRecord(t *testing.T) {
 	binFrame := func(t *testing.T, tenant string, evs []stream.Event) []byte {
 		t.Helper()
-		payload, err := appendEventsBinaryRecord(nil, tenant, evs)
+		payload, err := AppendEventsRecord(nil, tenant, evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,27 +738,23 @@ func TestStrayCompactTmpRemoved(t *testing.T) {
 }
 
 // TestDurabilityMarkdown sanity-checks the generated reference: it is a
-// pure function of (package, bench) and names the load-bearing pieces.
+// pure function of the package and names the load-bearing pieces,
+// including the runs that measure the fsync trade-off.
 func TestDurabilityMarkdown(t *testing.T) {
-	bench := &BenchPair{}
-	bench.On.EventsPerSec = 1000
-	bench.Off.EventsPerSec = 2000
-	doc := string(DurabilityMarkdown(bench))
+	doc := string(DurabilityMarkdown())
 	for _, want := range []string{
 		SegMagic, "CRC-32C", "OpenRecord", "CloseRecord",
 		"version-1", "binary events", "application/x-lease-binary",
 		"snapshot", "torn", "last whole record",
-		"group commit", "BENCH_PR5.json", "OPERATIONS.md", "ARCHITECTURE.md",
+		"group commit", "replicated-durable", "leaseload -wal fsync",
+		"OPERATIONS.md", "ARCHITECTURE.md",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("DurabilityMarkdown missing %q", want)
 		}
 	}
-	if !bytes.Equal(DurabilityMarkdown(bench), DurabilityMarkdown(bench)) {
+	if !bytes.Equal(DurabilityMarkdown(), DurabilityMarkdown()) {
 		t.Error("DurabilityMarkdown is not deterministic")
-	}
-	if bytes.Equal(DurabilityMarkdown(bench), DurabilityMarkdown(nil)) {
-		t.Error("bench numbers do not reach the document")
 	}
 }
 
@@ -769,7 +765,7 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(frameRecord(KindOpen, []byte(`{"tenant":"a","spec":{}}`)))
-	days, err := appendEventsBinaryRecord(nil, "a", dayEvents(1))
+	days, err := AppendEventsRecord(nil, "a", dayEvents(1))
 	if err != nil {
 		f.Fatal(err)
 	}

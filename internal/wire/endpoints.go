@@ -195,14 +195,13 @@ func Endpoints() []Endpoint {
 			Request: []Event{}, Response: SubmitResponse{},
 			Errors: []string{CodeBadRequest, CodeBackpressure, CodeStorageFailed, CodeShuttingDown},
 			Notes: "The body is either a JSON array of events (the trace format " +
-				"cmd/leasegen writes, so a trace file can be posted unchanged) or, with " +
-				"Content-Type application/x-ndjson, a stream of one JSON event per " +
-				"line (the bulk-ingestion path; events are enqueued in chunks while " +
-				"the body streams in). With Content-Type application/x-lease-binary " +
-				"the body is the compact binary framing instead (see the binary " +
-				"framing section) — the same events, decoded on a pooled " +
-				"zero-allocation path; a session may switch encodings freely " +
-				"between requests. Events must arrive in non-decreasing time " +
+				"cmd/leasegen writes, so a trace file can be posted unchanged) or, " +
+				"with Content-Type application/x-lease-binary, the compact binary " +
+				"framing (see the binary framing section) — the same events, " +
+				"decoded on a pooled zero-allocation path and enqueued in chunks " +
+				"while the body streams in; a session may switch encodings freely " +
+				"between requests. A body under any other Content-Type is read as " +
+				"a JSON array. Events must arrive in non-decreasing time " +
 				"order per tenant, from one submitter: a regression inside one " +
 				"request fails fast with 400 bad_request, while a regression " +
 				"across separate requests is only seen by the shard as it applies " +
@@ -447,12 +446,12 @@ byte-identical to single-encoding ones. The replicate endpoint uses the
 same magic and frames, one write-ahead-log record per frame.
 
 A binary submit body is the magic ` + "`LEB1`" + ` followed by frames, each
-decoded and enqueued as it is read (the NDJSON-equivalent chunked
-path). Integers are varints (zigzag for signed values), lengths plain
-uvarints, floats raw IEEE-754 little-endian bits — so every float
-round-trips exactly, including NaN payloads and negative zero. A frame
-payload is capped at 16 MiB; a larger declared length is rejected as
-corruption before any buffer is sized from it.
+decoded and enqueued as it is read. Integers are varints (zigzag for
+signed values), lengths plain uvarints, floats raw IEEE-754
+little-endian bits — so every float round-trips exactly, including NaN
+payloads and negative zero. A frame payload is capped at 16 MiB; a
+larger declared length is rejected as corruption before any buffer is
+sized from it.
 
 | Field | Encoding | Description |
 | --- | --- | --- |

@@ -294,7 +294,7 @@ func TestAPIMarkdown(t *testing.T) {
 		"### `OpenRequest`",
 		"### `Run`",
 		"### `Error`",
-		"application/x-ndjson",
+		"application/x-lease-binary",
 		"| `seed` |",
 	} {
 		if !strings.Contains(doc, want) {

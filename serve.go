@@ -22,9 +22,9 @@ import (
 // LeaseServer is the lease service http.Handler; build one with Serve.
 type LeaseServer = server.Server
 
-// LeaseServerConfig shapes a LeaseServer: per-tenant auth tokens,
-// ingestion chunking and body limits. The zero value serves
-// unauthenticated with defaults.
+// LeaseServerConfig shapes a LeaseServer: per-tenant auth tokens and
+// ingestion chunking. The zero value serves unauthenticated with
+// defaults.
 type LeaseServerConfig = server.Config
 
 // RemoteClient is the Go client of a lease service; build one with Dial.
@@ -51,8 +51,8 @@ type RemoteEvent = wire.Event
 
 // Serve wraps eng in the lease service handler serving the HTTP/JSON
 // protocol of docs/API.md: per-tenant session endpoints (open, submit
-// with NDJSON streaming, flush, close) plus cost, snapshot, result and
-// metrics reads, with backpressure mapped to 429s. The caller keeps
+// as a JSON event array or binary frames, flush, close) plus cost,
+// snapshot, result and metrics reads, with backpressure mapped to 429s. The caller keeps
 // ownership of eng — shut the HTTP server down first, then Close the
 // engine to drain, as cmd/leased does on SIGTERM.
 func Serve(eng *Engine, cfg LeaseServerConfig) *LeaseServer {
